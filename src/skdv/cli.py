@@ -16,6 +16,7 @@ import configparser
 import csv
 import hashlib
 import sys
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import conservation, decay, momentum, virial
 from .integrator import BlowUpError, StepperConfig, run as run_integrator
-from .model import InitialData, ModelParams, make_initial_data
-from .spectral import SpectralGrid, h1_norm, integrate, l2_norm
+from .model import InitialData, ModelParams, SystemState, kdv_soliton_profile, make_initial_data
+from .spectral import ComplexField, RealField, SpectralGrid, h1_norm
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
 
@@ -49,7 +50,6 @@ class RunConfig:
     power_exponent: float
     output_dir: Path
     strict: bool
-    seed: int
     config_hash: str
 
 
@@ -62,7 +62,7 @@ _KNOWN_KEYS = {
     },
     "virial": {"p1", "p2", "theta2", "theta3"},
     "window": {"p", "m", "constant", "power_exponent"},
-    "output": {"directory", "strict", "seed"},
+    "output": {"directory", "strict"},
 }
 
 
@@ -156,7 +156,6 @@ def load_config(path: str | Path) -> RunConfig:
         power_exponent=power_exponent,
         output_dir=Path(_get(parser, "output", "directory", str, "out")),
         strict=_get(parser, "output", "strict", bool, False),
-        seed=_get(parser, "output", "seed", int, 0),
         config_hash=digest,
     )
 
@@ -180,26 +179,30 @@ def _fmt(x) -> str:
 
 def _residual_rows(snapshots, cfg: RunConfig):
     """J2/J3 and identity residuals per snapshot; residuals need a centered
-    5-snapshot window at t >= 2 and are nan elsewhere."""
-    rows = {}
+    5-snapshot window at t >= 2 and are nan elsewhere.  The weights, J2 and
+    J3 are evaluated once per snapshot."""
+    vcfg, params = cfg.virial, cfg.params
+    n = len(snapshots)
+    j2, j3, weights, residuals = [np.nan] * n, [np.nan] * n, {}, {}
     for i, s in enumerate(snapshots):
-        j2 = j3 = r2 = r3 = rc = np.nan
         if s.time > 0:
-            j2 = virial.functional_J2(s, cfg.virial, cfg.params)
-            j3 = virial.functional_J3(s, cfg.virial, cfg.params)
-        if 2 <= i <= len(snapshots) - 3:
-            window = snapshots[i - 2 : i + 3]
-            try:
-                r2 = virial.identity_residual_prop2(window, cfg.virial, cfg.params).residual
-                r3 = virial.identity_residual_prop3(window, cfg.virial, cfg.params).residual
-                if cfg.virial.theta3 == "auto":
-                    rc = virial.identity_residual_combined(
-                        window, cfg.virial, cfg.params
-                    ).sample.residual
-            except ValueError:
-                pass
-        rows[i] = (j2, j3, r2, r3, rc)
-    return rows
+            weights[i] = wt = virial._Weights(s.grid, vcfg, s.time)
+            j2[i] = virial.functional_J2(s, vcfg, params, weights=wt)
+            j3[i] = virial.functional_J3(s, vcfg, params, weights=wt)
+        c = i - 2  # centre of the window that snapshot i completes
+        wt_c = weights.pop(c, None)
+        if c < 2:
+            continue
+        try:
+            h = virial._window_times(snapshots[c - 2 : i + 1])
+        except ValueError:  # uneven last stride, or a centre before t = 2
+            continue
+        r2 = virial._prop2_sample(snapshots[c], h, wt_c, virial._dt4(j2[c - 2 : i + 1], h),
+                                  vcfg, params).residual
+        r3 = virial._prop3_sample(snapshots[c], h, wt_c, virial._dt4(j3[c - 2 : i + 1], h),
+                                  vcfg, params).residual
+        residuals[c] = (r2, r3, r2 + r3 if vcfg.theta3 == "auto" else np.nan)
+    return [(j2[i], j3[i], *residuals.get(i, (np.nan,) * 3)) for i in range(n)]
 
 
 def _cmd_run(cfg: RunConfig) -> int:
@@ -212,7 +215,6 @@ def _cmd_run(cfg: RunConfig) -> int:
             h1_norm(state0.u), h1_norm(state0.v), params, c_gn
         ).phi
     slope = momentum.predicted_slope(state0, params)
-    u0_l2_sq = l2_norm(state0.u) ** 2
     accumulators = decay.make_accumulators()
 
     blowup_time = None
@@ -220,7 +222,7 @@ def _cmd_run(cfg: RunConfig) -> int:
         result = run_integrator(state0, cfg.stepper, params)
     except BlowUpError as exc:
         blowup_time = exc.time
-        result = None
+        result = exc.result
 
     out = cfg.output_dir
     fh_i, w_i = _open_csv(out / "invariants.csv", cfg.config_hash,
@@ -238,7 +240,7 @@ def _cmd_run(cfg: RunConfig) -> int:
 
     boundary_hit = False
     try:
-        snapshots = result.snapshots if result is not None else [state0]
+        snapshots = result.snapshots
         res_rows = _residual_rows(snapshots, cfg)
         power = 2.0 + cfg.power_exponent
         for i, s in enumerate(snapshots):
@@ -306,30 +308,31 @@ def _cmd_verify_identities(cfg: RunConfig) -> int:
         n_center = int(round(t_center / dt))
         stepper = StepperConfig(dt=dt, t_end=(n_center + 2) * dt,
                                 scheme=cfg.stepper.scheme, snapshot_stride=1)
-        window = []
-
-        def keep(s, window=window):
-            window.append(s)
-            if len(window) > 5:
-                window.pop(0)
-
-        run_integrator(state0, stepper, params, per_step=keep, keep_snapshots=False)
-        r2 = virial.identity_residual_prop2(window, cfg.virial, params)
-        r3 = virial.identity_residual_prop3(window, cfg.virial, params)
-        rc = virial.identity_residual_combined(window, cfg.virial, params)
-        rows.append((dt, abs(r2.residual), abs(r3.residual),
-                     abs(rc.sample.residual), rc.coefficient_sum))
+        last5 = deque(maxlen=5)
+        run_integrator(state0, stepper, params, per_step=last5.append, keep_snapshots=False)
+        window = list(last5)
+        if cfg.virial.theta3 == "auto":
+            rc = virial.identity_residual_combined(window, cfg.virial, params)
+            r2, r3 = rc.prop2, rc.prop3
+            combined, coeff = abs(rc.sample.residual), rc.coefficient_sum
+        else:  # the mixed terms cancel only under theta3='auto'
+            r2 = virial.identity_residual_prop2(window, cfg.virial, params)
+            r3 = virial.identity_residual_prop3(window, cfg.virial, params)
+            combined = coeff = np.nan
+        rows.append((dt, abs(r2.residual), abs(r3.residual), combined, coeff))
 
     print(f"{'dt':>10} {'|res_prop2|':>14} {'|res_prop3|':>14} {'|res_combined|':>15}")
     for dt, a, b, c, _ in rows:
         print(f"{dt:>10.1e} {a:>14.6e} {b:>14.6e} {c:>15.6e}")
     print("observed orders (successive halvings):")
     for j in range(1, len(rows)):
-        orders = [np.log2(rows[j - 1][k] / rows[j][k]) if rows[j][k] > 0 else np.inf
+        # a nan residual (combined identity not run) gives a nan order
+        orders = [np.log2(rows[j - 1][k] / rows[j][k]) if rows[j][k] != 0 else np.inf
                   for k in (1, 2, 3)]
         print(f"  dt {rows[j - 1][0]:.1e} -> {rows[j][0]:.1e}: "
               f"prop2 {orders[0]:.2f}  prop3 {orders[1]:.2f}  combined {orders[2]:.2f}")
-    print(f"cancellation coefficient: {rows[-1][4]:.3e}")
+    if cfg.virial.theta3 == "auto":
+        print(f"cancellation coefficient: {rows[-1][4]:.3e}")
     return EXIT_OK
 
 
@@ -384,10 +387,6 @@ def _cmd_check_smallness(cfg: RunConfig) -> int:
 
 
 def _cmd_convergence(cfg: RunConfig) -> int:
-    from .model import kdv_soliton_profile
-    from .spectral import ComplexField, RealField
-    from .model import SystemState
-
     grid = cfg.grid
     x = grid.x
 

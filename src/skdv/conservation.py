@@ -187,10 +187,6 @@ class SmallnessReport:
     criterion_rhs: float  # alpha * gamma
     satisfied: bool
 
-    @property
-    def constant_ratio(self) -> float:
-        return self.c_abg / self.c_abg_intro
-
 
 def phi_of_norms(u0_h1: float, v0_h1: float, c_abg: float) -> float:
     return float(np.sqrt(c_abg) * (u0_h1 + v0_h1 + u0_h1**5 + v0_h1**5))

@@ -21,17 +21,18 @@ __all__ = [
     "BlowUpError",
     "RunResult",
     "dispersion_step",
-    "nonlinear_step",
     "run",
 ]
 
 
 class BlowUpError(RuntimeError):
-    """Raised when a step produces non-finite values or the H1 guard trips."""
+    """Raised when a step produces non-finite values or the H1 guard trips at
+    ``time``; ``result`` holds the run up to the last finite state."""
 
-    def __init__(self, message: str, time: float):
+    def __init__(self, message: str, time: float, result: "RunResult | None" = None):
         super().__init__(message)
         self.time = time
+        self.result = result
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class StepperConfig:
     t_end: float
     scheme: str = "strang"
     snapshot_stride: int = 1
-    dealias: bool = True
     h1_cap: float = np.inf  # blow-up guard on ||v||_H1; set from the a priori bound
 
     def __post_init__(self):
@@ -56,7 +56,6 @@ class StepperConfig:
 class RunResult:
     final_state: SystemState
     snapshots: list = dc_field(default_factory=list)
-    boundary_flagged: bool = False
 
 
 def _dispersion_factors(grid, dt: float):
@@ -73,7 +72,7 @@ def dispersion_step(state: SystemState, dt: float) -> SystemState:
     return SystemState(ComplexField(grid, u), RealField(grid, v), state.time + dt)
 
 
-def _nonlinear_substep(grid, u, v, dt, params: ModelParams, dealias: bool):
+def _nonlinear_substep(grid, u, v, dt, params: ModelParams):
     """Raw-array nonlinear step.
 
     |u| is exactly invariant under the nonlinear subflow (the u equation is
@@ -82,20 +81,14 @@ def _nonlinear_substep(grid, u, v, dt, params: ModelParams, dealias: bool):
     rotation uses the trapezoidal average of v over the step to stay second
     order.
     """
-    if dealias:
-        u_sq = dealiased_product_samples(grid, [u, np.conj(u)]).real
-    else:
-        u_sq = np.abs(u) ** 2
+    u_sq = dealiased_product_samples(grid, [u, np.conj(u)]).real
 
     k = grid.wavenumbers
     ik = 1j * k * grid.odd_derivative_mask
     gamma_term = params.gamma * u_sq
 
     def flux(w):
-        if dealias:
-            w_sq = dealiased_product_samples(grid, [w, w]).real
-        else:
-            w_sq = w * w
+        w_sq = dealiased_product_samples(grid, [w, w]).real
         return -np.fft.ifft(ik * np.fft.fft(0.5 * w_sq - gamma_term)).real
 
     k1 = flux(v)
@@ -108,16 +101,6 @@ def _nonlinear_substep(grid, u, v, dt, params: ModelParams, dealias: bool):
     v_avg = 0.5 * (v + v_new)
     u_new = u * np.exp(-1j * (params.alpha * v_avg + params.beta * np.abs(u) ** 2) * dt)
     return u_new, v_new
-
-
-def nonlinear_step(
-    state: SystemState, dt: float, params: ModelParams, dealias: bool = True
-) -> SystemState:
-    grid = state.grid
-    u, v = _nonlinear_substep(grid, state.u.samples, state.v.samples, dt, params, dealias)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise BlowUpError(f"non-finite values in nonlinear step at t={state.time:g}", state.time)
-    return SystemState(ComplexField(grid, u), RealField(grid, v), state.time + dt)
 
 
 def run(
@@ -160,24 +143,25 @@ def run(
             fu, fv = f_half
             u = np.fft.ifft(np.fft.fft(u) * fu)
             v = np.fft.ifft(np.fft.fft(v) * fv).real
-            u, v = _nonlinear_substep(grid, u, v, dt, params, config.dealias)
+            u, v = _nonlinear_substep(grid, u, v, dt, params)
             u = np.fft.ifft(np.fft.fft(u) * fu)
             v = np.fft.ifft(np.fft.fft(v) * fv).real
         else:
             fu, fv = f_full
             u = np.fft.ifft(np.fft.fft(u) * fu)
             v = np.fft.ifft(np.fft.fft(v) * fv).real
-            u, v = _nonlinear_substep(grid, u, v, dt, params, config.dealias)
+            u, v = _nonlinear_substep(grid, u, v, dt, params)
         t = state0.time + step * dt
 
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise BlowUpError(f"non-finite values at t={t:g}", t)
+            raise BlowUpError(f"non-finite values at t={t:g}", t, result)
+        if np.isfinite(config.h1_cap) and h1_norm(RealField(grid, v)) > config.h1_cap:
+            raise BlowUpError(
+                f"||v||_H1 exceeded blow-up guard {config.h1_cap:g} at t={t:g}", t, result
+            )
 
         state = SystemState(ComplexField(grid, u), RealField(grid, v), t)
-        if np.isfinite(config.h1_cap) and h1_norm(state.v) > config.h1_cap:
-            raise BlowUpError(
-                f"||v||_H1 exceeded blow-up guard {config.h1_cap:g} at t={t:g}", t
-            )
+        result.final_state = state
         if per_step is not None:
             per_step(state)
         if step % config.snapshot_stride == 0 or step == n_steps:
@@ -186,5 +170,4 @@ def run(
             if on_snapshot is not None:
                 on_snapshot(state)
 
-    result.final_state = state
     return result

@@ -167,12 +167,16 @@ def downsample(fine_samples: np.ndarray, n: int) -> np.ndarray:
 
 
 def dealiased_product_samples(grid: SpectralGrid, factors: list[np.ndarray]) -> np.ndarray:
-    """Alias-free pointwise product of 2 or 3 sample arrays; complex output."""
+    """Alias-free pointwise product of 2 or 3 sample arrays; complex output.
+    A factor given more than once (the same array object) is upsampled once."""
     if len(factors) not in (2, 3):
         raise ValueError(f"dealiased product takes 2 or 3 factors, got {len(factors)}")
     fine = np.ones(2 * grid.num_points, dtype=np.complex128)
+    upsampled = {}
     for f in factors:
-        fine = fine * upsample(grid, f, 2)
+        if id(f) not in upsampled:
+            upsampled[id(f)] = upsample(grid, f, 2)
+        fine = fine * upsampled[id(f)]
     return downsample(fine, grid.num_points)
 
 

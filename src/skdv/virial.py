@@ -159,30 +159,28 @@ class _Weights:
         )
 
 
-def _check_time(t: float, allow_early: bool) -> None:
+def _check_time(t: float) -> None:
     if t <= 0:
         raise ValueError(f"functionals require t > 0, got {t}")
-    if t < 2 and not allow_early:
-        raise ValueError(f"accumulator mode requires t >= 2, got {t}")
 
 
 def functional_J2(
     state: SystemState, config: VirialConfig, params: ModelParams | None = None,
-    allow_early: bool = True,
+    weights: _Weights | None = None,
 ) -> float:
-    """J2 = (theta2/eta) int v^2 w(x/l1) g(x/l2) dx; always >= 0."""
-    _check_time(state.time, allow_early)
-    wt = _Weights(state.grid, config, state.time)
+    """J2 = (theta2/eta) int v^2 w(x/l1) g(x/l2) dx; always >= 0.  ``weights``
+    may pass the weights already built at ``state.time``."""
+    _check_time(state.time)
+    wt = weights if weights is not None else _Weights(state.grid, config, state.time)
     return config.theta2 / wt.eta * integrate(state.v.samples**2 * wt.wg, state.grid)
 
 
 def functional_J3(
-    state: SystemState, config: VirialConfig, params: ModelParams,
-    allow_early: bool = True,
+    state: SystemState, config: VirialConfig, params: ModelParams, weights: _Weights | None = None
 ) -> float:
     """J3 = (theta3/eta) int Im(u * conj(u_x)) w(x/l1) g(x/l2) dx."""
-    _check_time(state.time, allow_early)
-    wt = _Weights(state.grid, config, state.time)
+    _check_time(state.time)
+    wt = weights if weights is not None else _Weights(state.grid, config, state.time)
     u = state.u.samples
     ux = derivative_samples(state.grid, u, 1)
     dens = np.imag(u * np.conj(ux))
@@ -204,19 +202,32 @@ def _dt4(values: list[float], h: float) -> float:
 
 
 def _window_times(states: list[SystemState]) -> float:
+    """Spacing of a 5-snapshot window centred at t >= 2."""
     if len(states) != 5:
         raise ValueError(f"identity residuals need 5 consecutive snapshots, got {len(states)}")
     hs = np.diff([s.time for s in states])
     h = float(hs[0])
     if not np.allclose(hs, h, rtol=1e-8):
         raise ValueError("snapshots must be uniformly spaced in time")
+    if states[2].time < 2:
+        raise ValueError(f"the identity is asserted for t >= 2, got t={states[2].time}")
     return h
 
 
-def _j2_pieces(state: SystemState, config: VirialConfig, params: ModelParams):
+def _window_dt(states: list[SystemState], config: VirialConfig, params: ModelParams,
+               *functionals):
+    """Spacing of a 5-snapshot window, the weights at its centre and d/dt of
+    each functional there; the weights are built once per member."""
+    h = _window_times(states)
+    weights = [_Weights(s.grid, config, s.time) for s in states]
+    dts = [_dt4([f(s, config, params, weights=w) for s, w in zip(states, weights)], h)
+           for f in functionals]
+    return h, weights[2], *dts
+
+
+def _j2_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt: _Weights):
     grid = state.grid
     t = state.time
-    wt = _Weights(grid, config, t)
     th2 = config.theta2
     v = state.v.samples
     u_sq = np.abs(state.u.samples) ** 2
@@ -242,6 +253,14 @@ def _j2_pieces(state: SystemState, config: VirialConfig, params: ModelParams):
     return j21 + j22 + j23 + j24, lhs, cubic, mixed
 
 
+def _prop2_sample(center: SystemState, h: float, wt: _Weights, dj2: float,
+                  config: VirialConfig, params: ModelParams) -> IdentityResidualSample:
+    """Prop2 residual at a window centre from dJ2/dt and the weights there."""
+    j2_int, lhs, cubic, mixed = _j2_pieces(center, config, params, wt)
+    rhs = -dj2 + j2_int + cubic - mixed
+    return IdentityResidualSample(center.time, lhs, rhs, lhs - rhs, h)
+
+
 def identity_residual_prop2(
     states: list[SystemState], config: VirialConfig, params: ModelParams
 ) -> IdentityResidualSample:
@@ -252,21 +271,13 @@ def identity_residual_prop2(
             - (2 theta2 gamma/eta) int |u|^2 v_x w g
 
     evaluated at the center of a 5-snapshot window (t >= 2)."""
-    h = _window_times(states)
-    center = states[2]
-    if center.time < 2:
-        raise ValueError(f"the identity is asserted for t >= 2, got t={center.time}")
-    j2_samples = [functional_J2(s, config, params) for s in states]
-    dj2 = _dt4(j2_samples, h)
-    j2_int, lhs, cubic, mixed = _j2_pieces(center, config, params)
-    rhs = -dj2 + j2_int + cubic - mixed
-    return IdentityResidualSample(center.time, lhs, rhs, lhs - rhs, h)
+    h, wt, dj2 = _window_dt(states, config, params, functional_J2)
+    return _prop2_sample(states[2], h, wt, dj2, config, params)
 
 
-def _j3_pieces(state: SystemState, config: VirialConfig, params: ModelParams):
+def _j3_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt: _Weights):
     grid = state.grid
     t = state.time
-    wt = _Weights(grid, config, t)
     th3 = config.theta3_value(params)
     u = state.u.samples
     v = state.v.samples
@@ -293,6 +304,15 @@ def _j3_pieces(state: SystemState, config: VirialConfig, params: ModelParams):
     return j31 + j321 + j322 + j323, grad_term, quartic_term, mixed
 
 
+def _prop3_sample(center: SystemState, h: float, wt: _Weights, dj3: float,
+                  config: VirialConfig, params: ModelParams) -> IdentityResidualSample:
+    """Prop3 residual at a window centre from dJ3/dt and the weights there."""
+    j3_int, grad_term, quartic_term, mixed = _j3_pieces(center, config, params, wt)
+    lhs = grad_term + quartic_term
+    rhs = -dj3 + j3_int + mixed
+    return IdentityResidualSample(center.time, lhs, rhs, lhs - rhs, h)
+
+
 def identity_residual_prop3(
     states: list[SystemState], config: VirialConfig, params: ModelParams
 ) -> IdentityResidualSample:
@@ -301,16 +321,8 @@ def identity_residual_prop3(
         (2 theta3/t) int |u_x|^2 w' g + (beta theta3/2t) int |u|^4 w' g
             = -dJ3/dt + J3_int + (theta3 alpha/eta) int |u|^2 v_x w g
     """
-    h = _window_times(states)
-    center = states[2]
-    if center.time < 2:
-        raise ValueError(f"the identity is asserted for t >= 2, got t={center.time}")
-    j3_samples = [functional_J3(s, config, params) for s in states]
-    dj3 = _dt4(j3_samples, h)
-    j3_int, grad_term, quartic_term, mixed = _j3_pieces(center, config, params)
-    lhs = grad_term + quartic_term
-    rhs = -dj3 + j3_int + mixed
-    return IdentityResidualSample(center.time, lhs, rhs, lhs - rhs, h)
+    h, wt, dj3 = _window_dt(states, config, params, functional_J3)
+    return _prop3_sample(states[2], h, wt, dj3, config, params)
 
 
 @dataclass(frozen=True)
@@ -330,8 +342,9 @@ def identity_residual_combined(
         raise ValueError("the combined identity requires theta3='auto'")
     th3 = config.theta3_value(params)
     coeff = -2.0 * config.theta2 * params.gamma + th3 * params.alpha
-    r2 = identity_residual_prop2(states, config, params)
-    r3 = identity_residual_prop3(states, config, params)
+    h, wt, dj2, dj3 = _window_dt(states, config, params, functional_J2, functional_J3)
+    r2 = _prop2_sample(states[2], h, wt, dj2, config, params)
+    r3 = _prop3_sample(states[2], h, wt, dj3, config, params)
     sample = IdentityResidualSample(
         time=r2.time,
         lhs=r2.lhs + r3.lhs,

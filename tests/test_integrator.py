@@ -112,6 +112,52 @@ class TestRun:
             run(state, StepperConfig(dt=0.5, t_end=50.0),
                 ModelParams(5.0, -5.0, 5.0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_keeps_finite_trajectory(self):
+        grid = SpectralGrid(64, 8.0)
+        u = 50.0 * np.exp(-grid.x**2) * (1.0 + 0j)
+        v = -50.0 * np.exp(-grid.x**2)
+        with pytest.raises(BlowUpError) as info:
+            run(_state(grid, u, v), StepperConfig(dt=0.5, t_end=50.0),
+                ModelParams(5.0, -5.0, 5.0))
+        exc = info.value
+        last = exc.result.final_state
+        assert last.time == pytest.approx(exc.time - 0.5)
+        assert np.all(np.isfinite(last.u.samples)) and np.all(np.isfinite(last.v.samples))
+        assert [s.time for s in exc.result.snapshots] == pytest.approx(
+            np.arange(0.0, exc.time, 0.5))
+
+
+class TestExactSymmetries:
+    """Translation by whole cells and a global phase on u are exact
+    symmetries of the system and of its discretization, so they hold to
+    round-off after many steps."""
+
+    PARAMS = ModelParams(1.0, 1.0, 1.0)
+    STEPPER = StepperConfig(dt=1e-2, t_end=5.0, snapshot_stride=10**9)  # 500 steps
+
+    @pytest.fixture
+    def state0(self, grid):
+        return make_initial_data(
+            InitialData(family="modulated_gaussian", amplitude_u=0.5, amplitude_v=0.4,
+                        width_u=2.0, width_v=1.5, carrier=0.5), grid)
+
+    def test_translation_by_whole_cells(self, grid, state0):
+        shift = 37
+        moved = _state(grid, np.roll(state0.u.samples, shift), np.roll(state0.v.samples, shift))
+        a = run(state0, self.STEPPER, self.PARAMS).final_state
+        b = run(moved, self.STEPPER, self.PARAMS).final_state
+        assert np.max(np.abs(b.u.samples - np.roll(a.u.samples, shift))) < 1e-12
+        assert np.max(np.abs(b.v.samples - np.roll(a.v.samples, shift))) < 1e-12
+
+    def test_global_phase_on_u(self, grid, state0):
+        phase = np.exp(0.7j)
+        rotated = _state(grid, phase * state0.u.samples, state0.v.samples)
+        a = run(state0, self.STEPPER, self.PARAMS).final_state
+        b = run(rotated, self.STEPPER, self.PARAMS).final_state
+        assert np.max(np.abs(b.u.samples - phase * a.u.samples)) < 1e-12
+        assert np.max(np.abs(b.v.samples - a.v.samples)) < 1e-12
+
 
 class TestConvergenceOrder:
     def test_strang_second_order(self, grid):

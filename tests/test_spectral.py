@@ -155,6 +155,24 @@ class TestDealiasedProduct:
             dealiased_product_samples(grid, [a, b]).real,
         )
 
+    def test_repeated_factor_bit_identical(self):
+        # a factor passed twice is upsampled once; the product must equal,
+        # bit for bit, the one with every factor upsampled separately
+        grid = SpectralGrid(128, 8.0)
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal(128)
+        u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+
+        def separate(factors):
+            fine = np.ones(256, dtype=np.complex128)
+            for f in factors:
+                fine = fine * upsample(grid, f, 2)
+            return downsample(fine, 128)
+
+        assert np.all(dealiased_product_samples(grid, [w, w]) == separate([w, w.copy()]))
+        cubic = [u, u, np.conj(u)]
+        assert np.all(dealiased_product_samples(grid, cubic) == separate(cubic))
+
 
 class TestResampling:
     def test_upsample_roundtrip(self):
