@@ -177,52 +177,42 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _residual_rows(snapshots, cfg: RunConfig):
-    """J2/J3 and identity residuals per snapshot; residuals need a centered
-    5-snapshot window at t >= 2 and are nan elsewhere.  The weights, J2 and
-    J3 are evaluated once per snapshot."""
+def _checked(fn, *args):
+    """``fn(*args)``; a ValueError (degenerate parameters) becomes a ConfigError."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _window_residuals(window, cfg: RunConfig):
+    """prop2, prop3 and combined residuals at the centre of a window of
+    (state, weights, J2, J3); nan unless it is complete and evenly spaced."""
     vcfg, params = cfg.virial, cfg.params
-    n = len(snapshots)
-    j2, j3, weights, residuals = [np.nan] * n, [np.nan] * n, {}, {}
-    for i, s in enumerate(snapshots):
-        if s.time > 0:
-            weights[i] = wt = virial._Weights(s.grid, vcfg, s.time)
-            j2[i] = virial.functional_J2(s, vcfg, params, weights=wt)
-            j3[i] = virial.functional_J3(s, vcfg, params, weights=wt)
-        c = i - 2  # centre of the window that snapshot i completes
-        wt_c = weights.pop(c, None)
-        if c < 2:
-            continue
-        try:
-            h = virial._window_times(snapshots[c - 2 : i + 1])
-        except ValueError:  # uneven last stride, or a centre before t = 2
-            continue
-        r2 = virial._prop2_sample(snapshots[c], h, wt_c, virial._dt4(j2[c - 2 : i + 1], h),
-                                  vcfg, params).residual
-        r3 = virial._prop3_sample(snapshots[c], h, wt_c, virial._dt4(j3[c - 2 : i + 1], h),
-                                  vcfg, params).residual
-        residuals[c] = (r2, r3, r2 + r3 if vcfg.theta3 == "auto" else np.nan)
-    return [(j2[i], j3[i], *residuals.get(i, (np.nan,) * 3)) for i in range(n)]
+    try:
+        h = virial._window_times([entry[0] for entry in window])
+    except ValueError:  # under 5 snapshots, uneven last stride, or a centre before t = 2
+        return (np.nan,) * 3
+    centre, wt = window[2][:2]
+    r2 = virial._prop2_sample(centre, h, wt, virial._dt4([e[2] for e in window], h),
+                              vcfg, params).residual
+    r3 = virial._prop3_sample(centre, h, wt, virial._dt4([e[3] for e in window], h),
+                              vcfg, params).residual
+    return r2, r3, r2 + r3 if vcfg.theta3 == "auto" else np.nan
 
 
 def _cmd_run(cfg: RunConfig) -> int:
+    """Writes rows while stepping, holding at most five snapshots: a virial.csv
+    row waits two snapshots for its window, a flags.csv row one, so that the
+    last finite snapshot of a blow-up can carry the flag."""
     params = cfg.params
+    _checked(cfg.virial.theta3_value, params)
     state0 = make_initial_data(cfg.initial, cfg.grid, boundary_threshold=1e-6)
+    slope = _checked(momentum.predicted_slope, state0, params)
     c_gn = conservation.estimate_gn_constant(cfg.grid)
-    phi = np.nan
-    if params.full_regime:
-        phi = conservation.phi_smallness(
-            h1_norm(state0.u), h1_norm(state0.v), params, c_gn
-        ).phi
-    slope = momentum.predicted_slope(state0, params)
+    phi = (conservation.phi_smallness(h1_norm(state0.u), h1_norm(state0.v), params, c_gn).phi
+           if params.full_regime else np.nan)
     accumulators = decay.make_accumulators()
-
-    blowup_time = None
-    try:
-        result = run_integrator(state0, cfg.stepper, params)
-    except BlowUpError as exc:
-        blowup_time = exc.time
-        result = exc.result
 
     out = cfg.output_dir
     fh_i, w_i = _open_csv(out / "invariants.csv", cfg.config_hash,
@@ -238,52 +228,77 @@ def _cmd_run(cfg: RunConfig) -> int:
     fh_f, w_f = _open_csv(out / "flags.csv", cfg.config_hash,
                           ["t", "boundary_mass", "blowup", "window_clipped"])
 
+    window = deque(maxlen=5)  # (state, weights, J2, J3) of the latest snapshots
+    flags_row = None  # the newest flags.csv row
+    written = 0
     boundary_hit = False
+    power = 2.0 + cfg.power_exponent
+
+    def virial_row(entry, residuals=(np.nan,) * 3):
+        w_v.writerow(map(_fmt, [entry[0].time, *entry[2:], *residuals]))
+
+    def on_snapshot(s):
+        nonlocal written, boundary_hit, flags_row
+        written += 1
+        wt, j2, j3 = None, np.nan, np.nan
+        if s.time > 0:
+            wt = virial._Weights(s.grid, cfg.virial, s.time)
+            j2 = virial.functional_J2(s, cfg.virial, params, weights=wt)
+            j3 = virial.functional_J3(s, cfg.virial, params, weights=wt)
+        window.append((s, wt, j2, j3))
+        if len(window) >= 3:
+            virial_row(window[-3], _window_residuals(window, cfg))
+
+        inv = conservation.invariant_sample(s, params)
+        margin = phi - (inv.u_h1 + inv.v_h1) if np.isfinite(phi) else np.nan
+        w_i.writerow(map(_fmt, [s.time, inv.mass, inv.q_momentum, inv.energy,
+                                inv.u_h1, inv.v_h1, margin]))
+
+        clipped = False
+        if s.time > 0:
+            kinds = {}
+            for kind in ("mixed", "coupling", "grad_u", "grad_v"):
+                we = decay.windowed_energy(s, cfg.window, kind, params)
+                kinds[kind] = we.value
+                clipped = clipped or we.clipped
+            e_uk = decay.windowed_energy(s, cfg.window, "power_u", params, power).value
+            e_vk = decay.windowed_energy(s, cfg.window, "power_v", params, power).value
+        else:
+            kinds = dict.fromkeys(("mixed", "coupling", "grad_u", "grad_v"), np.nan)
+            e_uk = e_vk = np.nan
+        if s.time >= 2:
+            decay.weighted_accumulator_step(
+                s, cfg.virial, params, accumulators, cfg.power_exponent
+            )
+        acc = [accumulators[tag].value for tag in
+               ("mixed_kdv", "schrodinger_coupling", "gradient_u", "gradient_v", "quartic_u")]
+        w_d.writerow(map(_fmt, [
+            s.time, cfg.window.exponent, cfg.window.center_exponent,
+            kinds["mixed"], kinds["coupling"], kinds["grad_u"], kinds["grad_v"],
+            e_uk, e_vk, *acc,
+        ]))
+
+        ms = momentum.moment_sample(s, params, slope)
+        w_m.writerow(map(_fmt, [s.time, ms.b_moment, ms.u_moment,
+                                ms.f_moment, ms.predicted_slope_f]))
+
+        bmass = decay.boundary_mass(s)
+        boundary_hit = boundary_hit or bmass > 1e-6
+        if flags_row is not None:
+            w_f.writerow(map(_fmt, flags_row))
+        flags_row = [s.time, bmass, False, clipped]
+
+    blowup_time = None
     try:
-        snapshots = result.snapshots
-        res_rows = _residual_rows(snapshots, cfg)
-        power = 2.0 + cfg.power_exponent
-        for i, s in enumerate(snapshots):
-            inv = conservation.invariant_sample(s, params)
-            margin = phi - (inv.u_h1 + inv.v_h1) if np.isfinite(phi) else np.nan
-            w_i.writerow(map(_fmt, [s.time, inv.mass, inv.q_momentum, inv.energy,
-                                    inv.u_h1, inv.v_h1, margin]))
-            w_v.writerow(map(_fmt, [s.time, *res_rows[i]]))
-
-            clipped = False
-            if s.time > 0:
-                kinds = {}
-                for kind in ("mixed", "coupling", "grad_u", "grad_v"):
-                    we = decay.windowed_energy(s, cfg.window, kind, params)
-                    kinds[kind] = we.value
-                    clipped = clipped or we.clipped
-                e_uk = decay.windowed_energy(s, cfg.window, "power_u", params, power).value
-                e_vk = decay.windowed_energy(s, cfg.window, "power_v", params, power).value
-            else:
-                kinds = dict.fromkeys(("mixed", "coupling", "grad_u", "grad_v"), np.nan)
-                e_uk = e_vk = np.nan
-            if s.time >= 2:
-                decay.weighted_accumulator_step(
-                    s, cfg.virial, params, accumulators, cfg.power_exponent
-                )
-            acc = accumulators
-            w_d.writerow(map(_fmt, [
-                s.time, cfg.window.exponent, cfg.window.center_exponent,
-                kinds["mixed"], kinds["coupling"], kinds["grad_u"], kinds["grad_v"],
-                e_uk, e_vk,
-                acc["mixed_kdv"].value, acc["schrodinger_coupling"].value,
-                acc["gradient_u"].value, acc["gradient_v"].value,
-                acc["quartic_u"].value,
-            ]))
-
-            ms = momentum.moment_sample(s, params, slope)
-            w_m.writerow(map(_fmt, [s.time, ms.b_moment, ms.u_moment,
-                                    ms.f_moment, ms.predicted_slope_f]))
-
-            bmass = decay.boundary_mass(s)
-            boundary_hit = boundary_hit or bmass > 1e-6
-            blew = blowup_time is not None and i == len(snapshots) - 1
-            w_f.writerow(map(_fmt, [s.time, bmass, blew, clipped]))
+        try:
+            run_integrator(state0, cfg.stepper, params, on_snapshot=on_snapshot,
+                           keep_snapshots=False)
+        except BlowUpError as exc:
+            blowup_time = exc.time
+        for entry in list(window)[-2:]:
+            virial_row(entry)
+        flags_row[2] = blowup_time is not None  # the last finite snapshot
+        w_f.writerow(map(_fmt, flags_row))
     finally:
         for fh in (fh_i, fh_v, fh_d, fh_m, fh_f):
             fh.close()
@@ -294,12 +309,13 @@ def _cmd_run(cfg: RunConfig) -> int:
     if cfg.strict and boundary_hit:
         print("boundary contamination in strict mode", file=sys.stderr)
         return EXIT_BOUNDARY
-    print(f"run complete: {len(snapshots)} snapshots written to {out}")
+    print(f"run complete: {written} snapshots written to {out}")
     return EXIT_OK
 
 
 def _cmd_verify_identities(cfg: RunConfig) -> int:
     params = cfg.params
+    _checked(cfg.virial.theta3_value, params)
     state0 = make_initial_data(cfg.initial, cfg.grid, boundary_threshold=1e-6)
     t_center = max(cfg.stepper.t_end, 3.0)
     dts = [2e-3, 1e-3, 5e-4]
@@ -373,9 +389,8 @@ def _cmd_scan_decay(cfg: RunConfig) -> int:
 def _cmd_check_smallness(cfg: RunConfig) -> int:
     state0 = make_initial_data(cfg.initial, cfg.grid, boundary_threshold=1e-6)
     c_gn = conservation.estimate_gn_constant(cfg.grid)
-    report = conservation.phi_smallness(
-        h1_norm(state0.u), h1_norm(state0.v), cfg.params, c_gn
-    )
+    report = _checked(conservation.phi_smallness, h1_norm(state0.u), h1_norm(state0.v),
+                      cfg.params, c_gn)
     print(f"C_gn (L4 interpolation) = {report.c_gn:.12g}")
     print(f"C (main form)           = {report.c_abg:.12g}")
     print(f"C (summary form)        = {report.c_abg_intro:.12g}")

@@ -54,9 +54,8 @@ def mass(state: SystemState) -> float:
 
 def q_momentum(state: SystemState, params: ModelParams) -> float:
     """Q = int alpha*v^2 + 2*gamma*Im(u * conj(u_x)) dx."""
-    u = state.u.samples
-    ux = derivative_samples(state.grid, u, 1)
-    dens = params.alpha * state.v.samples**2 + 2.0 * params.gamma * np.imag(u * np.conj(ux))
+    u, v = state.u.samples, state.v.samples
+    dens = params.alpha * v**2 + 2.0 * params.gamma * np.imag(u * np.conj(state.u.dx))
     return float(integrate(dens, state.grid))
 
 
@@ -65,8 +64,7 @@ def energy(state: SystemState, params: ModelParams) -> float:
     grid = state.grid
     u, v = state.u.samples, state.v.samples
     u_sq = np.abs(u) ** 2
-    ux = derivative_samples(grid, u, 1)
-    vx = derivative_samples(grid, v, 1).real
+    ux, vx = state.u.dx, state.v.dx.real
     a, b, g = params.alpha, params.beta, params.gamma
     dens = (
         a * g * v * u_sq
@@ -240,8 +238,7 @@ def apriori_monitor(
     v_ok = True
     for s in states:
         max_sum = max(max_sum, h1_norm(s.u) + h1_norm(s.v))
-        ux = derivative_samples(s.grid, s.u.samples, 1)
-        ux_l2 = float(np.sqrt(integrate(np.abs(ux) ** 2, s.grid)))
+        ux_l2 = float(np.sqrt(integrate(np.abs(s.u.dx) ** 2, s.grid)))
         bound = (q0 + 2.0 * abs(params.gamma) * u0_l2 * ux_l2) / abs(params.alpha)
         if l2_norm(s.v) ** 2 > bound * (1.0 + 1e-10) + 1e-12:
             v_ok = False

@@ -16,7 +16,7 @@ import numpy as np
 
 from .conservation import SmallnessReport
 from .model import ModelParams, SystemState
-from .spectral import derivative_samples, integrate
+from .spectral import integrate
 from .virial import VirialConfig, weight_g
 
 __all__ = [
@@ -81,9 +81,9 @@ def _energy_density(state: SystemState, kind: str, params, power: float) -> np.n
     if kind == "coupling":
         return np.abs(u) * np.abs(params.alpha * v + params.beta * np.abs(u) ** 2)
     if kind == "grad_v":
-        return derivative_samples(state.grid, v, 1).real ** 2
+        return state.v.dx.real ** 2
     if kind == "grad_u":
-        return np.abs(derivative_samples(state.grid, u, 1)) ** 2
+        return np.abs(state.u.dx) ** 2
     if kind == "power_u":
         return np.abs(u) ** power
     if kind == "power_v":
@@ -207,8 +207,7 @@ def _accumulator_densities(
     v = state.v.samples
     u_abs = np.abs(u)
     u_sq = u_abs**2
-    vx = derivative_samples(state.grid, v, 1).real
-    ux = derivative_samples(state.grid, u, 1)
+    vx, ux = state.v.dx.real, state.u.dx
     return {
         "mixed_kdv": np.abs(0.5 * v**2 - params.gamma * u_sq),
         "schrodinger_coupling": u_abs * np.abs(params.alpha * v + params.beta * u_sq),

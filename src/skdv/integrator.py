@@ -83,8 +83,7 @@ def _nonlinear_substep(grid, u, v, dt, params: ModelParams):
     """
     u_sq = dealiased_product_samples(grid, [u, np.conj(u)]).real
 
-    k = grid.wavenumbers
-    ik = 1j * k * grid.odd_derivative_mask
+    ik = grid.derivative_multiplier(1)
     gamma_term = params.gamma * u_sq
 
     def flux(w):

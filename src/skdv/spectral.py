@@ -9,6 +9,7 @@ quadratic and cubic nonlinearities are alias-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,14 @@ class SpectralGrid:
         # Nyquist mode has no well-defined sign; zero it for odd derivatives
         self.odd_derivative_mask = np.ones(n)
         self.odd_derivative_mask[n // 2] = 0.0
+        self._multipliers = {}
+
+    def derivative_multiplier(self, order: int) -> np.ndarray:
+        """(ik)^order, Nyquist zeroed for odd orders; built on first use."""
+        if order not in self._multipliers:
+            m = (1j * self.wavenumbers) ** order
+            self._multipliers[order] = m * self.odd_derivative_mask if order % 2 else m
+        return self._multipliers[order]
 
     def __eq__(self, other) -> bool:
         return (
@@ -70,8 +79,18 @@ def _validate_samples(grid: SpectralGrid, samples: np.ndarray) -> None:
         raise ValueError("field contains non-finite samples")
 
 
+class _Samples:
+    @cached_property
+    def dx(self) -> np.ndarray:
+        """First derivative, ``derivative_samples(grid, samples, 1)``: complex,
+        read-only, computed on first use."""
+        out = derivative_samples(self.grid, self.samples, 1)
+        out.flags.writeable = False
+        return out
+
+
 @dataclass(frozen=True)
-class RealField:
+class RealField(_Samples):
     """Real-valued samples on a spectral grid."""
 
     grid: SpectralGrid
@@ -84,7 +103,7 @@ class RealField:
 
 
 @dataclass(frozen=True)
-class ComplexField:
+class ComplexField(_Samples):
     """Complex-valued samples on a spectral grid."""
 
     grid: SpectralGrid
@@ -111,10 +130,7 @@ def derivative_samples(grid: SpectralGrid, samples: np.ndarray, order: int) -> n
     """Spectral derivative of raw samples; complex output."""
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
-    multiplier = (1j * grid.wavenumbers) ** order
-    if order % 2 == 1:
-        multiplier = multiplier * grid.odd_derivative_mask
-    return np.fft.ifft(np.fft.fft(samples) * multiplier)
+    return np.fft.ifft(np.fft.fft(samples) * grid.derivative_multiplier(order))
 
 
 def derivative(f: Field, order: int = 1) -> Field:
@@ -221,6 +237,5 @@ def l2_norm(f: Field) -> float:
 
 def h1_norm(f: Field) -> float:
     """H1 norm with the convention ||f||_H1^2 = ||f||^2 + ||f'||^2."""
-    df = derivative_samples(f.grid, f.samples, 1)
-    sq = f.grid.spacing * (np.sum(np.abs(f.samples) ** 2) + np.sum(np.abs(df) ** 2))
+    sq = f.grid.spacing * (np.sum(np.abs(f.samples) ** 2) + np.sum(np.abs(f.dx) ** 2))
     return float(np.sqrt(sq))

@@ -181,9 +181,7 @@ def functional_J3(
     """J3 = (theta3/eta) int Im(u * conj(u_x)) w(x/l1) g(x/l2) dx."""
     _check_time(state.time)
     wt = weights if weights is not None else _Weights(state.grid, config, state.time)
-    u = state.u.samples
-    ux = derivative_samples(state.grid, u, 1)
-    dens = np.imag(u * np.conj(ux))
+    dens = np.imag(state.u.samples * np.conj(state.u.dx))
     return config.theta3_value(params) / wt.eta * integrate(dens * wt.wg, state.grid)
 
 
@@ -205,9 +203,10 @@ def _window_times(states: list[SystemState]) -> float:
     """Spacing of a 5-snapshot window centred at t >= 2."""
     if len(states) != 5:
         raise ValueError(f"identity residuals need 5 consecutive snapshots, got {len(states)}")
-    hs = np.diff([s.time for s in states])
-    h = float(hs[0])
-    if not np.allclose(hs, h, rtol=1e-8):
+    times = [s.time for s in states]
+    h = float(times[1] - times[0])
+    # the test of np.allclose(spacings, h, rtol=1e-8), done on scalars
+    if not all(abs((b - a) - h) <= 1e-8 + 1e-8 * abs(h) for a, b in zip(times, times[1:])):
         raise ValueError("snapshots must be uniformly spaced in time")
     if states[2].time < 2:
         raise ValueError(f"the identity is asserted for t >= 2, got t={states[2].time}")
@@ -231,7 +230,7 @@ def _j2_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt
     th2 = config.theta2
     v = state.v.samples
     u_sq = np.abs(state.u.samples) ** 2
-    vx = derivative_samples(grid, v, 1).real
+    vx = state.v.dx.real
     cubic_dens = v**3 / 3.0 - params.gamma * u_sq * v
 
     j2 = th2 / wt.eta * integrate(v**2 * wt.wg, grid)
@@ -280,10 +279,8 @@ def _j3_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt
     t = state.time
     th3 = config.theta3_value(params)
     u = state.u.samples
-    v = state.v.samples
     u_sq = np.abs(u) ** 2
-    ux = derivative_samples(grid, u, 1)
-    vx = derivative_samples(grid, v, 1).real
+    ux, vx = state.u.dx, state.v.dx.real
     im_dens = np.imag(u * np.conj(ux))
     re_dens = np.real(u * np.conj(ux))
 
@@ -407,10 +404,8 @@ def phase_current_rate(state: SystemState, params: ModelParams) -> np.ndarray:
             + alpha |u|^2 v_x + (beta/2) d/dx |u|^4
     """
     grid = state.grid
-    u = state.u.samples
-    ux = derivative_samples(grid, u, 1)
+    u, ux, vx = state.u.samples, state.u.dx, state.v.dx.real
     u_sq = np.abs(u) ** 2
-    vx = derivative_samples(grid, state.v.samples, 1).real
     term1 = -derivative_samples(grid, np.real(u * np.conj(ux)), 2).real
     term2 = 2.0 * derivative_samples(grid, np.abs(ux) ** 2, 1).real
     term4 = 0.5 * params.beta * derivative_samples(grid, u_sq**2, 1).real

@@ -1,9 +1,12 @@
 """Tests for config parsing, CSV emission and exit codes."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from skdv import virial
+from skdv import cli, conservation, decay, momentum, virial
 from skdv.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -14,6 +17,7 @@ from skdv.cli import (
 )
 from skdv.integrator import run
 from skdv.model import make_initial_data
+from skdv.spectral import h1_norm
 
 BASE_CONFIG = """\
 [grid]
@@ -71,6 +75,17 @@ EXPECTED_HEADERS = {
     "moments.csv": "t,B,Umom,F,predicted_slope",
     "flags.csv": "t,boundary_mass,blowup,window_clipped",
 }
+
+
+def _rows(out, name):
+    return [[float(x) for x in r.split(",")] for r in (out / name).read_text().splitlines()[2:]]
+
+
+def _same(row, expected):
+    """Bit-for-bit equality of a CSV row (written with 17 digits) and values."""
+    assert len(row) == len(expected)
+    for got, want in zip(row, expected):
+        assert got == float(want) or (np.isnan(got) and np.isnan(want)), (row, expected)
 
 
 def _write_config(tmp_path, text=None, name="run.ini"):
@@ -226,6 +241,97 @@ class TestRunCommand:
             checked += 1
         assert checked == 5  # centres t = 2.0 ... 2.2
 
+        # the other four CSVs, row by row, against the public functions
+        params, s0 = cfg.params, snaps[0]
+        phi = conservation.phi_smallness(h1_norm(s0.u), h1_norm(s0.v), params,
+                                         conservation.estimate_gn_constant(cfg.grid)).phi
+        slope = momentum.predicted_slope(s0, params)
+        acc = decay.make_accumulators()
+        power = 2.0 + cfg.power_exponent
+        tables = {name: _rows(out, name)
+                  for name in ("invariants.csv", "decay.csv", "moments.csv", "flags.csv")}
+        for i, s in enumerate(snaps):
+            inv = conservation.invariant_sample(s, params)
+            _same(tables["invariants.csv"][i], [s.time, inv.mass, inv.q_momentum, inv.energy,
+                                                inv.u_h1, inv.v_h1, phi - (inv.u_h1 + inv.v_h1)])
+            energies, clipped = [np.nan] * 6, False
+            if s.time > 0:
+                kinds = [("mixed", 4.0), ("coupling", 4.0), ("grad_u", 4.0), ("grad_v", 4.0),
+                         ("power_u", power), ("power_v", power)]
+                found = [decay.windowed_energy(s, cfg.window, k, params, p) for k, p in kinds]
+                energies = [we.value for we in found]
+                clipped = any(we.clipped for we in found[:4])
+            if s.time >= 2:
+                decay.weighted_accumulator_step(s, cfg.virial, params, acc, cfg.power_exponent)
+            _same(tables["decay.csv"][i], [
+                s.time, cfg.window.exponent, cfg.window.center_exponent, *energies,
+                *(acc[tag].value for tag in ("mixed_kdv", "schrodinger_coupling",
+                                             "gradient_u", "gradient_v", "quartic_u"))])
+            ms = momentum.moment_sample(s, params, slope)
+            _same(tables["moments.csv"][i], [s.time, ms.b_moment, ms.u_moment, ms.f_moment,
+                                             ms.predicted_slope_f])
+            _same(tables["flags.csv"][i], [s.time, decay.boundary_mass(s), 0, clipped])
+        assert acc["mixed_kdv"].value > 0  # the accumulators ran
+
+    def test_steps_with_keep_snapshots_false(self, tmp_path, monkeypatch):
+        path, _ = _write_config(tmp_path)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("keep_snapshots"))
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_integrator", spy)
+        assert main(["run", str(path)]) == EXIT_OK
+        assert seen == [False]
+
+    def test_holds_at_most_five_snapshots(self, tmp_path, monkeypatch):
+        # a snapshot is released once the window has moved five snapshots
+        # past it; the initial state is the stepper's own argument
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "snapshot_stride = 5", "snapshot_stride = 1")
+        path, _ = _write_config(tmp_path, text)
+        refs, dead = [], []
+
+        def spy(*args, on_snapshot, **kwargs):
+            def watched(s):
+                refs.append(weakref.ref(s))
+                on_snapshot(s)
+                gc.collect()
+                dead.append([r() is None for r in refs])
+
+            return run(*args, on_snapshot=watched, **kwargs)
+
+        monkeypatch.setattr(cli, "run_integrator", spy)
+        assert main(["run", str(path)]) == EXIT_OK
+        assert len(refs) == 11
+        for i, released in enumerate(dead):
+            assert released == [1 <= j <= i - 5 for j in range(i + 1)], i
+
+    def test_two_snapshots(self, tmp_path):
+        # fewer snapshots than one residual window still give a row each
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "t_end = 0.1", "t_end = 0.05")
+        path, out = _write_config(tmp_path, text)
+        assert main(["run", str(path)]) == EXIT_OK
+        for name in EXPECTED_HEADERS:
+            assert [r[0] for r in _rows(out, name)] == [0.0, 0.05], name
+        assert all(np.all(np.isnan(r[3:])) for r in _rows(out, "virial.csv"))
+        assert [r[2] for r in _rows(out, "flags.csv")] == [0.0, 0.0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_flags_last_row_stride_2(self, tmp_path, capsys):
+        # the step to t=1.5 overflows between snapshots: the last finite
+        # snapshot, t=1.0, is the only one flagged
+        text = BLOWUP_CONFIG.format(out=tmp_path / "out").replace(
+            "t_end = 20.0", "t_end = 20.0\nsnapshot_stride = 2")
+        path, out = _write_config(tmp_path, text)
+        assert main(["run", str(path)]) == EXIT_BLOWUP
+        assert "blow-up detected at t=1.5" in capsys.readouterr().err
+        for name in EXPECTED_HEADERS:
+            assert [r[0] for r in _rows(out, name)] == [0.0, 1.0], name
+        assert [r[2] for r in _rows(out, "flags.csv")] == [0.0, 1.0]
+
 
 class TestExitCodes:
     def test_config_error(self, tmp_path):
@@ -251,6 +357,21 @@ class TestExitCodes:
         else:
             assert all(r[3] == "nan" for r in table)
             assert not any("cancellation" in line for line in lines)
+
+    @pytest.mark.parametrize("command,change", [
+        ("run", "alpha = 0.0"),  # theta3 = auto divides by alpha
+        ("run", "gamma = 0.0"),  # the F moment divides by gamma
+        ("verify-identities", "alpha = 0.0"),
+        ("check-smallness", "alpha = 0.0"),  # the explicit constant needs alpha != 0
+    ])
+    def test_degenerate_parameters(self, tmp_path, capsys, command, change):
+        # rejected before stepping, and before any CSV is opened
+        key = change.split()[0]
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(f"{key} = 1.0", change)
+        path, out = _write_config(tmp_path, text)
+        assert main([command, str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_check_smallness(self, tmp_path, capsys):
         text = BASE_CONFIG.format(out=tmp_path / "out").replace(

@@ -100,6 +100,31 @@ class TestDerivative:
         with pytest.raises(ValueError):
             derivative(RealField(grid, np.ones(32)), 4)
 
+    def test_multipliers_match_direct_expression(self):
+        # built once per grid, bit for bit the (ik)^order of a direct evaluation
+        grid = SpectralGrid(64, 8.0)
+        for order in (1, 2, 3):
+            direct = (1j * grid.wavenumbers) ** order
+            if order % 2 == 1:
+                direct = direct * grid.odd_derivative_mask
+            assert grid.derivative_multiplier(order).tobytes() == direct.tobytes()
+            assert grid.derivative_multiplier(order) is grid.derivative_multiplier(order)
+
+    @pytest.mark.parametrize("kind", [RealField, ComplexField])
+    def test_field_dx_cached_and_read_only(self, kind):
+        grid = SpectralGrid(64, 8.0)
+        rng = np.random.default_rng(1)
+        samples = rng.standard_normal(64)
+        if kind is ComplexField:
+            samples = samples + 1j * rng.standard_normal(64)
+        f = kind(grid, samples)
+        assert f.dx.dtype == np.complex128
+        assert f.dx.tobytes() == derivative_samples(grid, f.samples, 1).tobytes()
+        assert f.dx is f.dx
+        assert not f.dx.flags.writeable
+        with pytest.raises(ValueError):
+            f.dx[0] = 0.0
+
     def test_real_in_real_out(self):
         grid = SpectralGrid(64, 8.0)
         rng = np.random.default_rng(0)

@@ -8,6 +8,7 @@ from skdv.model import InitialData, ModelParams, SystemState, make_initial_data
 from skdv.spectral import ComplexField, RealField, SpectralGrid
 from skdv.virial import (
     VirialConfig,
+    _window_times,
     check_key_identities,
     functional_J2,
     functional_J3,
@@ -106,6 +107,34 @@ class TestFunctionals:
         a = functional_J3(st, VirialConfig(theta3=1.0), params)
         b = functional_J3(st, VirialConfig(theta3=2.0), params)
         assert b == pytest.approx(2.0 * a, rel=1e-13)
+
+
+class TestWindowTimes:
+    def _states(self, state, times):
+        return [SystemState(state.u, state.v, t) for t in times]
+
+    def test_returns_first_spacing(self, state):
+        times = [2.0 + j * 0.1 for j in range(-2, 3)]
+        assert _window_times(self._states(state, times)) == times[1] - times[0]
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 5e-9, 1.5e-8, 1e-7, 1e-3, -1e-3])
+    def test_same_condition_as_allclose(self, state, eps):
+        # one spacing perturbed by eps: accepted exactly when np.allclose
+        # (rtol 1e-8, atol 1e-8) accepts the spacings
+        times = [1.8, 1.9, 2.0 + eps, 2.1, 2.2]
+        hs = np.diff(times)
+        states = self._states(state, times)
+        if np.allclose(hs, hs[0], rtol=1e-8):
+            assert _window_times(states) == hs[0]
+        else:
+            with pytest.raises(ValueError, match="uniformly spaced"):
+                _window_times(states)
+
+    def test_rejects_short_window_and_early_centre(self, state):
+        with pytest.raises(ValueError, match="5 consecutive"):
+            _window_times(self._states(state, [2.0, 2.1, 2.2, 2.3]))
+        with pytest.raises(ValueError, match="t >= 2"):
+            _window_times(self._states(state, [1.0, 1.1, 1.2, 1.3, 1.4]))
 
 
 class TestKeyIdentities:
