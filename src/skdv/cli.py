@@ -19,6 +19,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,6 +113,7 @@ def load_config(path: str | Path) -> RunConfig:
             scheme=_get(parser, "stepper", "scheme", str, "strang"),
             snapshot_stride=_get(parser, "stepper", "snapshot_stride", int, 100),
         )
+        stepper.n_steps  # raises unless t_end is a whole number of dt steps
         params = ModelParams(
             alpha=_get(parser, "model", "alpha", float, 1.0),
             beta=_get(parser, "model", "beta", float, 0.0),
@@ -185,28 +187,37 @@ def _checked(fn, *args):
         raise ConfigError(str(exc)) from exc
 
 
+class _VirialEntry(NamedTuple):
+    """What the residual window keeps of one snapshot."""
+
+    time: float
+    j2: float
+    j3: float
+    pieces: tuple | None  # (_j2_pieces, _j3_pieces) at t >= 2, else None
+
+
 def _window_residuals(window, cfg: RunConfig):
     """prop2, prop3 and combined residuals at the centre of a window of
-    (state, weights, J2, J3); nan unless it is complete and evenly spaced."""
-    vcfg, params = cfg.virial, cfg.params
+    _VirialEntry; nan unless it is complete and evenly spaced."""
     try:
-        h = virial._window_times([entry[0] for entry in window])
+        h = virial._window_times(window)
     except ValueError:  # under 5 snapshots, uneven last stride, or a centre before t = 2
         return (np.nan,) * 3
-    centre, wt = window[2][:2]
-    r2 = virial._prop2_sample(centre, h, wt, virial._dt4([e[2] for e in window], h),
-                              vcfg, params).residual
-    r3 = virial._prop3_sample(centre, h, wt, virial._dt4([e[3] for e in window], h),
-                              vcfg, params).residual
-    return r2, r3, r2 + r3 if vcfg.theta3 == "auto" else np.nan
+    centre = window[2]
+    p2, p3 = centre.pieces
+    r2 = virial._prop2_sample(centre.time, h, p2, virial._dt4([e.j2 for e in window], h))
+    r3 = virial._prop3_sample(centre.time, h, p3, virial._dt4([e.j3 for e in window], h))
+    return r2.residual, r3.residual, (
+        r2.residual + r3.residual if cfg.virial.theta3 == "auto" else np.nan)
 
 
 def _cmd_run(cfg: RunConfig) -> int:
-    """Writes rows while stepping, holding at most five snapshots: a virial.csv
-    row waits two snapshots for its window, a flags.csv row one, so that the
-    last finite snapshot of a blow-up can carry the flag."""
-    params = cfg.params
-    _checked(cfg.virial.theta3_value, params)
+    """Writes rows while stepping and holds no snapshot past its callback:
+    the residual window keeps numbers (t, J2, J3 and the identity pieces),
+    a virial.csv row waits two snapshots for its window and a flags.csv row
+    one, so that the last finite snapshot of a blow-up can carry the flag."""
+    params, vcfg = cfg.params, cfg.virial
+    _checked(vcfg.theta3_value, params)
     state0 = make_initial_data(cfg.initial, cfg.grid, boundary_threshold=1e-6)
     slope = _checked(momentum.predicted_slope, state0, params)
     c_gn = conservation.estimate_gn_constant(cfg.grid)
@@ -228,24 +239,27 @@ def _cmd_run(cfg: RunConfig) -> int:
     fh_f, w_f = _open_csv(out / "flags.csv", cfg.config_hash,
                           ["t", "boundary_mass", "blowup", "window_clipped"])
 
-    window = deque(maxlen=5)  # (state, weights, J2, J3) of the latest snapshots
+    window = deque(maxlen=5)  # _VirialEntry of the latest snapshots
     flags_row = None  # the newest flags.csv row
     written = 0
     boundary_hit = False
     power = 2.0 + cfg.power_exponent
 
     def virial_row(entry, residuals=(np.nan,) * 3):
-        w_v.writerow(map(_fmt, [entry[0].time, *entry[2:], *residuals]))
+        w_v.writerow(map(_fmt, [entry.time, entry.j2, entry.j3, *residuals]))
 
     def on_snapshot(s):
         nonlocal written, boundary_hit, flags_row
         written += 1
-        wt, j2, j3 = None, np.nan, np.nan
+        wt, j2, j3, pieces = None, np.nan, np.nan, None
         if s.time > 0:
-            wt = virial._Weights(s.grid, cfg.virial, s.time)
-            j2 = virial.functional_J2(s, cfg.virial, params, weights=wt)
-            j3 = virial.functional_J3(s, cfg.virial, params, weights=wt)
-        window.append((s, wt, j2, j3))
+            wt = virial._Weights(s.grid, vcfg, s.time)
+            j2 = virial.functional_J2(s, vcfg, params, weights=wt)
+            j3 = virial.functional_J3(s, vcfg, params, weights=wt)
+        if s.time >= 2:
+            pieces = (virial._j2_pieces(s, vcfg, params, wt),
+                      virial._j3_pieces(s, vcfg, params, wt))
+        window.append(_VirialEntry(s.time, j2, j3, pieces))
         if len(window) >= 3:
             virial_row(window[-3], _window_residuals(window, cfg))
 
@@ -268,7 +282,7 @@ def _cmd_run(cfg: RunConfig) -> int:
             e_uk = e_vk = np.nan
         if s.time >= 2:
             decay.weighted_accumulator_step(
-                s, cfg.virial, params, accumulators, cfg.power_exponent
+                s, vcfg, params, accumulators, cfg.power_exponent, weights=wt
             )
         acc = [accumulators[tag].value for tag in
                ("mixed_kdv", "schrodinger_coupling", "gradient_u", "gradient_v", "quartic_u")]
@@ -278,11 +292,11 @@ def _cmd_run(cfg: RunConfig) -> int:
             e_uk, e_vk, *acc,
         ]))
 
-        ms = momentum.moment_sample(s, params, slope)
+        bmass = decay.boundary_mass(s)
+        ms = momentum.moment_sample(s, params, slope, boundary=bmass)
         w_m.writerow(map(_fmt, [s.time, ms.b_moment, ms.u_moment,
                                 ms.f_moment, ms.predicted_slope_f]))
 
-        bmass = decay.boundary_mass(s)
         boundary_hit = boundary_hit or bmass > 1e-6
         if flags_row is not None:
             w_f.writerow(map(_fmt, flags_row))

@@ -49,31 +49,27 @@ class InvariantSample:
 
 def mass(state: SystemState) -> float:
     """M = int |u|^2 dx."""
-    return float(integrate(np.abs(state.u.samples) ** 2, state.grid))
+    return float(integrate(state.u.abs_sq, state.grid))
 
 
 def q_momentum(state: SystemState, params: ModelParams) -> float:
     """Q = int alpha*v^2 + 2*gamma*Im(u * conj(u_x)) dx."""
-    u, v = state.u.samples, state.v.samples
-    dens = params.alpha * v**2 + 2.0 * params.gamma * np.imag(u * np.conj(state.u.dx))
+    dens = params.alpha * state.v.abs_sq + 2.0 * params.gamma * np.imag(state.u.times_conj_dx)
     return float(integrate(dens, state.grid))
 
 
 def energy(state: SystemState, params: ModelParams) -> float:
     """Five-term conserved energy, evaluated spectrally."""
-    grid = state.grid
-    u, v = state.u.samples, state.v.samples
-    u_sq = np.abs(u) ** 2
-    ux, vx = state.u.dx, state.v.dx.real
+    u, v = state.u, state.v
     a, b, g = params.alpha, params.beta, params.gamma
     dens = (
-        a * g * v * u_sq
-        - (a / 6.0) * v**3
-        + (b * g / 2.0) * u_sq**2
-        + (a / 2.0) * vx**2
-        + g * np.abs(ux) ** 2
+        a * g * v.samples * u.abs_sq
+        - (a / 6.0) * v.cube
+        + (b * g / 2.0) * u.abs_fourth
+        + (a / 2.0) * v.dx_sq
+        + g * u.dx_abs_sq
     )
-    return float(integrate(dens, grid))
+    return float(integrate(dens, state.grid))
 
 
 def invariant_sample(state: SystemState, params: ModelParams) -> InvariantSample:
@@ -238,7 +234,7 @@ def apriori_monitor(
     v_ok = True
     for s in states:
         max_sum = max(max_sum, h1_norm(s.u) + h1_norm(s.v))
-        ux_l2 = float(np.sqrt(integrate(np.abs(s.u.dx) ** 2, s.grid)))
+        ux_l2 = float(np.sqrt(integrate(s.u.dx_abs_sq, s.grid)))
         bound = (q0 + 2.0 * abs(params.gamma) * u0_l2 * ux_l2) / abs(params.alpha)
         if l2_norm(s.v) ** 2 > bound * (1.0 + 1e-10) + 1e-12:
             v_ok = False

@@ -17,7 +17,7 @@ import numpy as np
 from .conservation import SmallnessReport
 from .model import ModelParams, SystemState
 from .spectral import integrate
-from .virial import VirialConfig, weight_g
+from .virial import VirialConfig, _Weights, weight_g
 
 __all__ = [
     "WindowSpec",
@@ -71,9 +71,12 @@ class WindowedEnergy:
 _WINDOW_KINDS = ("mixed", "coupling", "grad_v", "grad_u", "power_u", "power_v")
 
 
-def _energy_density(state: SystemState, kind: str, params, power: float) -> np.ndarray:
-    u = state.u.samples
-    v = state.v.samples
+def _energy_density(
+    state: SystemState, kind: str, params, power: float, cells: slice
+) -> np.ndarray:
+    """The density of ``kind`` on the grid cells ``cells``."""
+    u = state.u.samples[cells]
+    v = state.v.samples[cells]
     if kind in ("mixed", "coupling") and params is None:
         raise ValueError(f"kind {kind!r} requires model parameters")
     if kind == "mixed":
@@ -81,9 +84,9 @@ def _energy_density(state: SystemState, kind: str, params, power: float) -> np.n
     if kind == "coupling":
         return np.abs(u) * np.abs(params.alpha * v + params.beta * np.abs(u) ** 2)
     if kind == "grad_v":
-        return state.v.dx.real ** 2
+        return state.v.dx.real[cells] ** 2
     if kind == "grad_u":
-        return np.abs(state.u.dx) ** 2
+        return np.abs(state.u.dx[cells]) ** 2
     if kind == "power_u":
         return np.abs(u) ** power
     if kind == "power_v":
@@ -98,15 +101,17 @@ def windowed_energy(
     params: ModelParams | None = None,
     power: float = 4.0,
 ) -> WindowedEnergy:
-    """Local energy of the given kind over the growing window at state.time."""
+    """Local energy of the given kind over the growing window at state.time.
+    The density is evaluated on the window's cells only: the grid is sorted,
+    so they are the contiguous run lo <= x <= hi."""
     if state.time <= 0:
         raise ValueError(f"windowed energies require t > 0, got {state.time}")
     lo, hi = window.interval(state.time)
     grid = state.grid
     clipped = lo < -grid.half_length or hi > grid.half_length
-    mask = (grid.x >= lo) & (grid.x <= hi)
-    dens = _energy_density(state, kind, params, power)
-    return WindowedEnergy(float(grid.spacing * np.sum(dens[mask])), clipped)
+    cells = slice(grid.x.searchsorted(lo, "left"), grid.x.searchsorted(hi, "right"))
+    dens = _energy_density(state, kind, params, power, cells)
+    return WindowedEnergy(float(grid.spacing * dens.sum()), clipped)
 
 
 @dataclass(frozen=True)
@@ -203,20 +208,16 @@ def make_accumulators() -> dict:
 def _accumulator_densities(
     state: SystemState, params: ModelParams, power_exponent: float
 ) -> dict:
-    u = state.u.samples
-    v = state.v.samples
-    u_abs = np.abs(u)
-    u_sq = u_abs**2
-    vx, ux = state.v.dx.real, state.u.dx
+    u, v = state.u, state.v
     return {
-        "mixed_kdv": np.abs(0.5 * v**2 - params.gamma * u_sq),
-        "schrodinger_coupling": u_abs * np.abs(params.alpha * v + params.beta * u_sq),
-        "gradient_v": vx**2,
-        "gradient_u": np.abs(ux) ** 2,
-        "quartic_u": u_sq**2,
-        "cubic_u": u_abs**3,
-        "uv_product": np.abs(u * v),
-        "power_k": np.abs(v) ** (2.0 + power_exponent),
+        "mixed_kdv": np.abs(0.5 * v.abs_sq - params.gamma * u.abs_sq),
+        "schrodinger_coupling": u.abs * np.abs(params.alpha * v.samples + params.beta * u.abs_sq),
+        "gradient_v": v.dx_sq,
+        "gradient_u": u.dx_abs_sq,
+        "quartic_u": u.abs_fourth,
+        "cubic_u": u.abs**3,
+        "uv_product": np.abs(u.samples * v.samples),
+        "power_k": np.abs(v.samples) ** (2.0 + power_exponent),
     }
 
 
@@ -226,19 +227,25 @@ def weighted_accumulator_step(
     params: ModelParams,
     accumulators: dict,
     power_exponent: float = 0.5,
+    weights: _Weights | None = None,
 ) -> dict:
     """Advance every accumulator by the trapezoidal rule with the integrand
 
         I(t) = (1/t) int dens(x,t) w'(x/lambda1) g(x/lambda2) dx
 
     for that accumulator's density.  The first call (t >= 2) only primes the
-    integrand memory.  Mutates and returns ``accumulators``.
+    integrand memory.  ``weights`` may pass the virial weights already built
+    at ``state.time``, whose ``wpg`` is this weight.  Mutates and returns
+    ``accumulators``.
     """
     t = state.time
     if t < 2:
         raise ValueError(f"accumulators are defined for t >= 2, got {t}")
     grid = state.grid
-    weight = weight_g(grid.x / config.lambda1(t)) * weight_g(grid.x / config.lambda2(t))
+    if weights is not None:
+        weight = weights.wpg
+    else:
+        weight = weight_g(grid.x / config.lambda1(t)) * weight_g(grid.x / config.lambda2(t))
     densities = _accumulator_densities(state, params, power_exponent)
     for tag, acc in accumulators.items():
         integrand = float(integrate(densities[tag] * weight, grid)) / t
@@ -298,12 +305,12 @@ def smallness_gate_check(
 def boundary_mass(state: SystemState) -> float:
     """Fraction of int(|u|^2 + v^2) carried by the outer 10% of the box."""
     grid = state.grid
-    dens = np.abs(state.u.samples) ** 2 + state.v.samples**2
-    total = float(np.sum(dens))
+    dens = state.u.abs_sq + state.v.abs_sq
+    total = float(dens.sum())
     if total == 0.0:
         return 0.0
     outer = np.abs(grid.x) >= 0.9 * grid.half_length
-    return float(np.sum(dens[outer])) / total
+    return float(dens[outer].sum()) / total
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,15 @@ class StepperConfig:
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
 
+    @property
+    def n_steps(self) -> int:
+        """Steps of size dt to t_end; a ValueError unless t_end is a whole
+        number of them."""
+        n = int(round(self.t_end / self.dt))
+        if abs(n * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError("t_end must be an integer multiple of dt")
+        return n
+
 
 @dataclass
 class RunResult:
@@ -119,9 +128,7 @@ def run(
     """
     grid = state0.grid
     dt = config.dt
-    n_steps = int(round(config.t_end / dt))
-    if abs(n_steps * dt - config.t_end) > 1e-9 * config.t_end:
-        raise ValueError("t_end must be an integer multiple of dt")
+    n_steps = config.n_steps
 
     if config.scheme == "strang":
         f_half = _dispersion_factors(grid, 0.5 * dt)
@@ -129,14 +136,12 @@ def run(
         f_full = _dispersion_factors(grid, dt)
 
     result = RunResult(final_state=state0)
-    state = state0
     if keep_snapshots:
-        result.snapshots.append(state)
+        result.snapshots.append(state0)
     if on_snapshot is not None:
-        on_snapshot(state)
+        on_snapshot(state0)
 
-    u, v = state.u.samples, state.v.samples
-    t = state.time
+    u, v = state0.u.samples, state0.v.samples
     for step in range(1, n_steps + 1):
         if config.scheme == "strang":
             fu, fv = f_half
@@ -168,5 +173,10 @@ def run(
                 result.snapshots.append(state)
             if on_snapshot is not None:
                 on_snapshot(state)
+                # a state of its own from here on, so that the arrays the
+                # callback cached on the snapshot are freed once it lets the
+                # snapshot go, not held through the next step
+                state = result.final_state = SystemState(
+                    ComplexField(grid, u), RealField(grid, v), t)
 
     return result

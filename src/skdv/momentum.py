@@ -60,19 +60,23 @@ def moment_sample(
     params: ModelParams,
     slope: float,
     boundary_threshold: float = 1e-6,
+    boundary: float | None = None,
 ) -> MomentSample:
     """Evaluate B, int x |u|^2 and F at one snapshot.
 
     ``slope`` is the predicted dF/dt from the initial data; the sample is
     flagged rather than rejected when the boundary fraction exceeds the
-    threshold, since moments degrade gracefully.
+    threshold, since moments degrade gracefully.  ``boundary`` may pass
+    ``boundary_mass(state)`` already computed.
     """
     if params.gamma == 0:
         raise ValueError("the F functional requires gamma != 0")
     grid = state.grid
     x = grid.x
     b = float(integrate(x * state.v.samples, grid))
-    umom = float(integrate(x * np.abs(state.u.samples) ** 2, grid))
+    umom = float(integrate(x * state.u.abs_sq, grid))
+    if boundary is None:
+        boundary = boundary_mass(state)
     return MomentSample(
         time=state.time,
         b_moment=b,
@@ -80,7 +84,7 @@ def moment_sample(
         f_moment=-(2.0 * params.alpha / params.gamma) * b + umom,
         predicted_slope_f=slope,
         v_l2_sq=l2_norm(state.v) ** 2,
-        boundary_flag=boundary_mass(state) > boundary_threshold,
+        boundary_flag=boundary > boundary_threshold,
     )
 
 

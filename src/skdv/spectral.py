@@ -79,14 +79,25 @@ def _validate_samples(grid: SpectralGrid, samples: np.ndarray) -> None:
         raise ValueError("field contains non-finite samples")
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class _Samples:
+    """Arrays derived from the samples, each computed on first use and kept
+    read-only, so that the diagnostics of one snapshot share them.  Each is
+    the exact expression its docstring gives, so sharing changes no bit."""
+
     @cached_property
     def dx(self) -> np.ndarray:
-        """First derivative, ``derivative_samples(grid, samples, 1)``: complex,
-        read-only, computed on first use."""
-        out = derivative_samples(self.grid, self.samples, 1)
-        out.flags.writeable = False
-        return out
+        """First derivative, ``derivative_samples(grid, samples, 1)``: complex."""
+        return _read_only(derivative_samples(self.grid, self.samples, 1))
+
+    @cached_property
+    def dx_abs_sq(self) -> np.ndarray:
+        """``np.abs(dx) ** 2``."""
+        return _read_only(np.abs(self.dx) ** 2)
 
 
 @dataclass(frozen=True)
@@ -101,6 +112,22 @@ class RealField(_Samples):
         _validate_samples(self.grid, samples)
         object.__setattr__(self, "samples", samples)
 
+    @cached_property
+    def abs_sq(self) -> np.ndarray:
+        """``samples ** 2``, equal bit for bit to ``np.abs(samples) ** 2``."""
+        return _read_only(self.samples**2)
+
+    @cached_property
+    def cube(self) -> np.ndarray:
+        """``samples ** 3``."""
+        return _read_only(self.samples**3)
+
+    @cached_property
+    def dx_sq(self) -> np.ndarray:
+        """``dx.real ** 2``: the square of the real derivative, without the
+        imaginary round-off that ``dx_abs_sq`` keeps."""
+        return _read_only(self.dx.real**2)
+
 
 @dataclass(frozen=True)
 class ComplexField(_Samples):
@@ -113,6 +140,26 @@ class ComplexField(_Samples):
         samples = np.asarray(self.samples, dtype=np.complex128)
         _validate_samples(self.grid, samples)
         object.__setattr__(self, "samples", samples)
+
+    @cached_property
+    def abs(self) -> np.ndarray:
+        """``np.abs(samples)``."""
+        return _read_only(np.abs(self.samples))
+
+    @cached_property
+    def abs_sq(self) -> np.ndarray:
+        """``np.abs(samples) ** 2``."""
+        return _read_only(self.abs**2)
+
+    @cached_property
+    def abs_fourth(self) -> np.ndarray:
+        """``abs_sq ** 2``."""
+        return _read_only(self.abs_sq**2)
+
+    @cached_property
+    def times_conj_dx(self) -> np.ndarray:
+        """``samples * np.conj(dx)``."""
+        return _read_only(self.samples * np.conj(self.dx))
 
 
 Field = RealField | ComplexField
@@ -187,12 +234,12 @@ def dealiased_product_samples(grid: SpectralGrid, factors: list[np.ndarray]) -> 
     A factor given more than once (the same array object) is upsampled once."""
     if len(factors) not in (2, 3):
         raise ValueError(f"dealiased product takes 2 or 3 factors, got {len(factors)}")
-    fine = np.ones(2 * grid.num_points, dtype=np.complex128)
     upsampled = {}
+    fine = None
     for f in factors:
         if id(f) not in upsampled:
             upsampled[id(f)] = upsample(grid, f, 2)
-        fine = fine * upsampled[id(f)]
+        fine = upsampled[id(f)] if fine is None else fine * upsampled[id(f)]
     return downsample(fine, grid.num_points)
 
 
@@ -225,17 +272,17 @@ def integrate(f: Field | np.ndarray, grid: SpectralGrid | None = None):
         grid, samples = f.grid, f.samples
     else:
         samples = np.asarray(f)
-    total = grid.spacing * np.sum(samples)
+    total = grid.spacing * samples.sum()
     if np.iscomplexobj(samples):
         return complex(total)
     return float(total)
 
 
 def l2_norm(f: Field) -> float:
-    return float(np.sqrt(f.grid.spacing * np.sum(np.abs(f.samples) ** 2)))
+    return float(np.sqrt(f.grid.spacing * f.abs_sq.sum()))
 
 
 def h1_norm(f: Field) -> float:
     """H1 norm with the convention ||f||_H1^2 = ||f||^2 + ||f'||^2."""
-    sq = f.grid.spacing * (np.sum(np.abs(f.samples) ** 2) + np.sum(np.abs(f.dx) ** 2))
+    sq = f.grid.spacing * (f.abs_sq.sum() + f.dx_abs_sq.sum())
     return float(np.sqrt(sq))

@@ -133,7 +133,9 @@ class VirialConfig:
 
 class _Weights:
     """Weight product w(x/l1)*g(x/l2) and every derived array the identity
-    pieces need, at a fixed time."""
+    pieces and the accumulators need, at a fixed time.  sech and tanh are
+    evaluated once per argument; each table is the expression of
+    ``weight_g``, ``weight_g1`` or ``weight_g2`` on those values."""
 
     def __init__(self, grid, config: VirialConfig, t: float):
         if t <= 0:
@@ -145,17 +147,19 @@ class _Weights:
         x1 = grid.x / self.l1
         x2 = grid.x / self.l2
         self.x1, self.x2 = x1, x2
+        sech1, sech2 = _sech(x1), _sech(x2)
+        tanh1, tanh2 = np.tanh(x1), np.tanh(x2)
         self.w = weight_w(x1)
-        self.g = weight_g(x2)
-        self.wp = weight_g(x1)  # w' = g
-        self.gp = weight_g1(x2)
+        self.g = 0.5 * sech2  # weight_g(x2)
+        self.wp = 0.5 * sech1  # w' = g
+        self.gp = -tanh2 * self.g  # weight_g1(x2)
         self.wg = self.w * self.g
         self.wpg = self.wp * self.g
-        # d^2/dx^2 [w(x/l1) g(x/l2)]
+        # d^2/dx^2 [w(x/l1) g(x/l2)], with weight_g1(x1) and weight_g2(x2)
         self.d2 = (
-            weight_g1(x1) * self.g / self.l1**2
+            -tanh1 * self.wp * self.g / self.l1**2
             + 2.0 * self.wp * self.gp / (self.l1 * self.l2)
-            + self.w * weight_g2(x2) / self.l2**2
+            + self.w * (self.g * (tanh2**2 - sech2**2)) / self.l2**2
         )
 
 
@@ -172,7 +176,7 @@ def functional_J2(
     may pass the weights already built at ``state.time``."""
     _check_time(state.time)
     wt = weights if weights is not None else _Weights(state.grid, config, state.time)
-    return config.theta2 / wt.eta * integrate(state.v.samples**2 * wt.wg, state.grid)
+    return config.theta2 / wt.eta * integrate(state.v.abs_sq * wt.wg, state.grid)
 
 
 def functional_J3(
@@ -181,7 +185,7 @@ def functional_J3(
     """J3 = (theta3/eta) int Im(u * conj(u_x)) w(x/l1) g(x/l2) dx."""
     _check_time(state.time)
     wt = weights if weights is not None else _Weights(state.grid, config, state.time)
-    dens = np.imag(state.u.samples * np.conj(state.u.dx))
+    dens = np.imag(state.u.times_conj_dx)
     return config.theta3_value(params) / wt.eta * integrate(dens * wt.wg, state.grid)
 
 
@@ -199,8 +203,9 @@ def _dt4(values: list[float], h: float) -> float:
     return (-values[4] + 8.0 * values[3] - 8.0 * values[1] + values[0]) / (12.0 * h)
 
 
-def _window_times(states: list[SystemState]) -> float:
-    """Spacing of a 5-snapshot window centred at t >= 2."""
+def _window_times(states: list) -> float:
+    """Spacing of a 5-snapshot window centred at t >= 2; the members need
+    only a ``time``."""
     if len(states) != 5:
         raise ValueError(f"identity residuals need 5 consecutive snapshots, got {len(states)}")
     times = [s.time for s in states]
@@ -225,39 +230,40 @@ def _window_dt(states: list[SystemState], config: VirialConfig, params: ModelPar
 
 
 def _j2_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt: _Weights):
+    """(J2_int, lhs, cubic, mixed) of the Prop2 identity at ``state.time``."""
     grid = state.grid
     t = state.time
     th2 = config.theta2
     v = state.v.samples
-    u_sq = np.abs(state.u.samples) ** 2
+    v_sq, vx_sq = state.v.abs_sq, state.v.dx_sq
+    u_sq = state.u.abs_sq
     vx = state.v.dx.real
-    cubic_dens = v**3 / 3.0 - params.gamma * u_sq * v
+    cubic_dens = state.v.cube / 3.0 - params.gamma * u_sq * v
 
-    j2 = th2 / wt.eta * integrate(v**2 * wt.wg, grid)
+    j2 = th2 / wt.eta * integrate(v_sq * wt.wg, grid)
     # J_{2,1}: -theta2 eta'/eta^2 * int v^2 w g
     j21 = -(config.r1 / t) * j2
     # J_{2,2}: (theta2/eta) int v^2 d/dt[w g]
     dwg_dt = -(config.p1 / t) * wt.x1 * wt.wpg - (config.p1 * config.p2 / t) * wt.x2 * wt.w * wt.gp
-    j22 = th2 / wt.eta * integrate(v**2 * dwg_dt, grid)
+    j22 = th2 / wt.eta * integrate(v_sq * dwg_dt, grid)
     # J_{2,3}: (2 theta2/(eta l2)) int (v^3/3 - gamma |u|^2 v) w g'
     j23 = 2.0 * th2 / (wt.eta * wt.l2) * integrate(cubic_dens * wt.w * wt.gp, grid)
     # J_{2,4}: -(3 theta2/(eta l2)) int v_x^2 w g' - (2 theta2/eta) int v v_x (w g)''
-    j24 = -3.0 * th2 / (wt.eta * wt.l2) * integrate(vx**2 * wt.w * wt.gp, grid) - (
+    j24 = -3.0 * th2 / (wt.eta * wt.l2) * integrate(vx_sq * wt.w * wt.gp, grid) - (
         2.0 * th2 / wt.eta
     ) * integrate(v * vx * wt.d2, grid)
 
-    lhs = 3.0 * th2 / t * integrate(vx**2 * wt.wpg, grid)
+    lhs = 3.0 * th2 / t * integrate(vx_sq * wt.wpg, grid)
     cubic = 2.0 * th2 / t * integrate(cubic_dens * wt.wpg, grid)
     mixed = 2.0 * th2 * params.gamma / wt.eta * integrate(u_sq * vx * wt.wg, grid)
     return j21 + j22 + j23 + j24, lhs, cubic, mixed
 
 
-def _prop2_sample(center: SystemState, h: float, wt: _Weights, dj2: float,
-                  config: VirialConfig, params: ModelParams) -> IdentityResidualSample:
-    """Prop2 residual at a window centre from dJ2/dt and the weights there."""
-    j2_int, lhs, cubic, mixed = _j2_pieces(center, config, params, wt)
+def _prop2_sample(time: float, h: float, pieces, dj2: float) -> IdentityResidualSample:
+    """Prop2 residual at a window centre from its ``_j2_pieces`` and dJ2/dt."""
+    j2_int, lhs, cubic, mixed = pieces
     rhs = -dj2 + j2_int + cubic - mixed
-    return IdentityResidualSample(center.time, lhs, rhs, lhs - rhs, h)
+    return IdentityResidualSample(time, lhs, rhs, lhs - rhs, h)
 
 
 def identity_residual_prop2(
@@ -271,18 +277,19 @@ def identity_residual_prop2(
 
     evaluated at the center of a 5-snapshot window (t >= 2)."""
     h, wt, dj2 = _window_dt(states, config, params, functional_J2)
-    return _prop2_sample(states[2], h, wt, dj2, config, params)
+    return _prop2_sample(states[2].time, h, _j2_pieces(states[2], config, params, wt), dj2)
 
 
 def _j3_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt: _Weights):
+    """(J3_int, grad_term, quartic_term, mixed) of the Prop3 identity at
+    ``state.time``."""
     grid = state.grid
     t = state.time
     th3 = config.theta3_value(params)
-    u = state.u.samples
-    u_sq = np.abs(u) ** 2
-    ux, vx = state.u.dx, state.v.dx.real
-    im_dens = np.imag(u * np.conj(ux))
-    re_dens = np.real(u * np.conj(ux))
+    u_sq, u_fourth, ux_sq = state.u.abs_sq, state.u.abs_fourth, state.u.dx_abs_sq
+    vx = state.v.dx.real
+    im_dens = np.imag(state.u.times_conj_dx)
+    re_dens = np.real(state.u.times_conj_dx)
 
     # J_{3,1}: theta3 int Im(u conj(u_x)) d/dt[(1/eta) w g]
     dwg_over_eta_dt = -(1.0 / wt.eta) * (
@@ -291,23 +298,22 @@ def _j3_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt
         + (config.p1 * config.p2 / t) * wt.x2 * wt.w * wt.gp
     )
     j31 = th3 * integrate(im_dens * dwg_over_eta_dt, grid)
-    j321 = -2.0 * th3 / (wt.eta * wt.l2) * integrate(np.abs(ux) ** 2 * wt.w * wt.gp, grid)
+    j321 = -2.0 * th3 / (wt.eta * wt.l2) * integrate(ux_sq * wt.w * wt.gp, grid)
     j322 = -th3 / wt.eta * integrate(re_dens * wt.d2, grid)
-    j323 = -params.beta * th3 / (2.0 * wt.eta * wt.l2) * integrate(u_sq**2 * wt.w * wt.gp, grid)
+    j323 = -params.beta * th3 / (2.0 * wt.eta * wt.l2) * integrate(u_fourth * wt.w * wt.gp, grid)
 
-    grad_term = 2.0 * th3 / t * integrate(np.abs(ux) ** 2 * wt.wpg, grid)
-    quartic_term = params.beta * th3 / (2.0 * t) * integrate(u_sq**2 * wt.wpg, grid)
+    grad_term = 2.0 * th3 / t * integrate(ux_sq * wt.wpg, grid)
+    quartic_term = params.beta * th3 / (2.0 * t) * integrate(u_fourth * wt.wpg, grid)
     mixed = th3 * params.alpha / wt.eta * integrate(u_sq * vx * wt.wg, grid)
     return j31 + j321 + j322 + j323, grad_term, quartic_term, mixed
 
 
-def _prop3_sample(center: SystemState, h: float, wt: _Weights, dj3: float,
-                  config: VirialConfig, params: ModelParams) -> IdentityResidualSample:
-    """Prop3 residual at a window centre from dJ3/dt and the weights there."""
-    j3_int, grad_term, quartic_term, mixed = _j3_pieces(center, config, params, wt)
+def _prop3_sample(time: float, h: float, pieces, dj3: float) -> IdentityResidualSample:
+    """Prop3 residual at a window centre from its ``_j3_pieces`` and dJ3/dt."""
+    j3_int, grad_term, quartic_term, mixed = pieces
     lhs = grad_term + quartic_term
     rhs = -dj3 + j3_int + mixed
-    return IdentityResidualSample(center.time, lhs, rhs, lhs - rhs, h)
+    return IdentityResidualSample(time, lhs, rhs, lhs - rhs, h)
 
 
 def identity_residual_prop3(
@@ -319,7 +325,7 @@ def identity_residual_prop3(
             = -dJ3/dt + J3_int + (theta3 alpha/eta) int |u|^2 v_x w g
     """
     h, wt, dj3 = _window_dt(states, config, params, functional_J3)
-    return _prop3_sample(states[2], h, wt, dj3, config, params)
+    return _prop3_sample(states[2].time, h, _j3_pieces(states[2], config, params, wt), dj3)
 
 
 @dataclass(frozen=True)
@@ -340,8 +346,9 @@ def identity_residual_combined(
     th3 = config.theta3_value(params)
     coeff = -2.0 * config.theta2 * params.gamma + th3 * params.alpha
     h, wt, dj2, dj3 = _window_dt(states, config, params, functional_J2, functional_J3)
-    r2 = _prop2_sample(states[2], h, wt, dj2, config, params)
-    r3 = _prop3_sample(states[2], h, wt, dj3, config, params)
+    center = states[2]
+    r2 = _prop2_sample(center.time, h, _j2_pieces(center, config, params, wt), dj2)
+    r3 = _prop3_sample(center.time, h, _j3_pieces(center, config, params, wt), dj3)
     sample = IdentityResidualSample(
         time=r2.time,
         lhs=r2.lhs + r3.lhs,
@@ -404,9 +411,8 @@ def phase_current_rate(state: SystemState, params: ModelParams) -> np.ndarray:
             + alpha |u|^2 v_x + (beta/2) d/dx |u|^4
     """
     grid = state.grid
-    u, ux, vx = state.u.samples, state.u.dx, state.v.dx.real
-    u_sq = np.abs(u) ** 2
-    term1 = -derivative_samples(grid, np.real(u * np.conj(ux)), 2).real
-    term2 = 2.0 * derivative_samples(grid, np.abs(ux) ** 2, 1).real
-    term4 = 0.5 * params.beta * derivative_samples(grid, u_sq**2, 1).real
-    return term1 + term2 + params.alpha * u_sq * vx + term4
+    u = state.u
+    term1 = -derivative_samples(grid, np.real(u.times_conj_dx), 2).real
+    term2 = 2.0 * derivative_samples(grid, u.dx_abs_sq, 1).real
+    term4 = 0.5 * params.beta * derivative_samples(grid, u.abs_fourth, 1).real
+    return term1 + term2 + params.alpha * u.abs_sq * state.v.dx.real + term4

@@ -286,8 +286,9 @@ class TestRunCommand:
         assert seen == [False]
 
     def test_holds_at_most_five_snapshots(self, tmp_path, monkeypatch):
-        # a snapshot is released once the window has moved five snapshots
-        # past it; the initial state is the stepper's own argument
+        # the residual window keeps numbers, so a snapshot is released as
+        # soon as its own callback returns and the stepper moves on; the
+        # initial state is the stepper's own argument
         text = BASE_CONFIG.format(out=tmp_path / "out").replace(
             "snapshot_stride = 5", "snapshot_stride = 1")
         path, _ = _write_config(tmp_path, text)
@@ -306,7 +307,7 @@ class TestRunCommand:
         assert main(["run", str(path)]) == EXIT_OK
         assert len(refs) == 11
         for i, released in enumerate(dead):
-            assert released == [1 <= j <= i - 5 for j in range(i + 1)], i
+            assert released == [1 <= j <= i - 1 for j in range(i + 1)], i
 
     def test_two_snapshots(self, tmp_path):
         # fewer snapshots than one residual window still give a row each
@@ -369,6 +370,18 @@ class TestExitCodes:
         key = change.split()[0]
         text = BASE_CONFIG.format(out=tmp_path / "out").replace(f"{key} = 1.0", change)
         path, out = _write_config(tmp_path, text)
+        assert main([command, str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "scan-decay"])
+    def test_t_end_not_whole_steps(self, tmp_path, capsys, command):
+        # t_end = 0.1 is not a whole number of dt = 0.03 steps: rejected by
+        # load_config, before any stepping or output
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace("dt = 0.01", "dt = 0.03")
+        path, out = _write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match="integer multiple of dt"):
+            load_config(path)
         assert main([command, str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()

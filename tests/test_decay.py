@@ -20,7 +20,7 @@ from skdv.decay import (
 )
 from skdv.model import InitialData, ModelParams, SystemState, make_initial_data
 from skdv.spectral import ComplexField, RealField, SpectralGrid
-from skdv.virial import VirialConfig
+from skdv.virial import VirialConfig, _Weights
 
 
 @pytest.fixture
@@ -97,6 +97,35 @@ class TestWindowedEnergy:
         with pytest.raises(ValueError):
             windowed_energy(state, WindowSpec(0.5), "mixed", ModelParams(1, 0, 1))
 
+    @pytest.mark.parametrize("window,t", [
+        (WindowSpec(0.5), 4.0),  # edges x = -2 and x = 2 fall on grid points
+        (WindowSpec(0.5), 3.3),
+        (WindowSpec(0.3, center_exponent=0.5, window_constant=2.5), 7.1),
+        (WindowSpec(0.5, window_constant=100.0), 4.0),  # clipped by the box
+    ])
+    def test_window_cells_match_mask(self, grid, window, t):
+        # the density is evaluated on the window's cells only; the value must
+        # equal, bit for bit, the full density summed over the window mask
+        spec = InitialData(family="modulated_gaussian", amplitude_u=0.6, amplitude_v=-0.4,
+                           carrier=0.8)
+        state = _at_time(make_initial_data(spec, grid), t)
+        params = ModelParams(1.0, 0.5, 2.0)
+        u, v = state.u.samples, state.v.samples
+        full = {
+            "mixed": np.abs(0.5 * v**2 - params.gamma * np.abs(u) ** 2),
+            "coupling": np.abs(u) * np.abs(params.alpha * v + params.beta * np.abs(u) ** 2),
+            "grad_v": state.v.dx.real ** 2,
+            "grad_u": np.abs(state.u.dx) ** 2,
+            "power_u": np.abs(u) ** 2.5,
+            "power_v": np.abs(v) ** 2.5,
+        }
+        lo, hi = window.interval(t)
+        mask = (grid.x >= lo) & (grid.x <= hi)
+        assert mask.any()
+        for kind, dens in full.items():
+            got = windowed_energy(state, window, kind, params, 2.5).value
+            assert got == float(grid.spacing * np.sum(dens[mask])), kind
+
 
 class TestLiminfTracker:
     def test_constant_series(self):
@@ -164,6 +193,22 @@ class TestAccumulators:
             assert acc["mixed_kdv"].value >= prev
             prev = acc["mixed_kdv"].value
         assert prev > 0.0
+
+
+    def test_weights_argument_same_accumulators(self, grid):
+        # the virial weights' wpg is the accumulator weight bit for bit
+        state = make_initial_data(InitialData(family="modulated_gaussian", carrier=0.5), grid)
+        cfg, params = VirialConfig(), ModelParams(1.0, 0.5, 1.0)
+        plain, shared = make_accumulators(), make_accumulators()
+        for t in (2.0, 2.25, 3.5):
+            s = _at_time(state, t)
+            weighted_accumulator_step(s, cfg, params, plain, 0.5)
+            weighted_accumulator_step(_at_time(state, t), cfg, params, shared, 0.5,
+                                      weights=_Weights(grid, cfg, t))
+        for tag in ACCUMULATOR_TAGS:
+            assert (shared[tag].value, shared[tag].last_integrand) == (
+                plain[tag].value, plain[tag].last_integrand), tag
+        assert plain["mixed_kdv"].value > 0
 
 
 class TestSignPartition:

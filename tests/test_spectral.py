@@ -68,6 +68,37 @@ class TestFields:
         with pytest.raises(ValueError):
             ComplexField(grid, bad.astype(complex))
 
+    @pytest.mark.parametrize("kind,name,inline", [
+        pytest.param(RealField, "abs_sq", lambda f: f.samples**2, id="real-abs_sq"),
+        pytest.param(RealField, "abs_sq", lambda f: np.abs(f.samples) ** 2,
+                     id="real-abs_sq-of-abs"),
+        pytest.param(RealField, "cube", lambda f: f.samples**3, id="real-cube"),
+        pytest.param(RealField, "dx_sq", lambda f: f.dx.real**2, id="real-dx_sq"),
+        pytest.param(RealField, "dx_abs_sq", lambda f: np.abs(f.dx) ** 2, id="real-dx_abs_sq"),
+        pytest.param(ComplexField, "abs", lambda f: np.abs(f.samples), id="complex-abs"),
+        pytest.param(ComplexField, "abs_sq", lambda f: np.abs(f.samples) ** 2,
+                     id="complex-abs_sq"),
+        pytest.param(ComplexField, "abs_fourth", lambda f: (np.abs(f.samples) ** 2) ** 2,
+                     id="complex-abs_fourth"),
+        pytest.param(ComplexField, "dx_abs_sq", lambda f: np.abs(f.dx) ** 2,
+                     id="complex-dx_abs_sq"),
+        pytest.param(ComplexField, "times_conj_dx", lambda f: f.samples * np.conj(f.dx),
+                     id="complex-times_conj_dx"),
+    ])
+    def test_derived_arrays_cached_and_read_only(self, kind, name, inline):
+        # each shared array is its inline expression bit for bit, built once
+        grid = SpectralGrid(64, 8.0)
+        rng = np.random.default_rng(4)
+        samples = rng.standard_normal(64)
+        if kind is ComplexField:
+            samples = samples + 1j * rng.standard_normal(64)
+        f = kind(grid, samples)
+        cached = getattr(f, name)
+        assert cached.dtype == inline(f).dtype
+        assert cached.tobytes() == inline(f).tobytes()
+        assert getattr(f, name) is cached
+        assert not cached.flags.writeable
+
 
 class TestDerivative:
     def test_sine_derivatives(self):
@@ -197,6 +228,28 @@ class TestDealiasedProduct:
         assert np.all(dealiased_product_samples(grid, [w, w]) == separate([w, w.copy()]))
         cubic = [u, u, np.conj(u)]
         assert np.all(dealiased_product_samples(grid, cubic) == separate(cubic))
+
+
+    @pytest.mark.parametrize("case", ["real_2", "complex_2", "mixed_2", "real_3",
+                                      "complex_3", "repeated_2", "repeated_3"])
+    def test_matches_literal_formula(self, case):
+        # the product, bit for bit, as written with a ones seed that every
+        # upsampled factor multiplies
+        grid = SpectralGrid(128, 8.0)
+        rng = np.random.default_rng(5)
+        a, b, c = (rng.standard_normal(128) for _ in range(3))
+        z, y = (rng.standard_normal(128) + 1j * rng.standard_normal(128) for _ in range(2))
+        factors = {
+            "real_2": [a, b], "complex_2": [z, y], "mixed_2": [a, z],
+            "real_3": [a, b, c], "complex_3": [z, y, np.conj(z)],
+            "repeated_2": [a, a], "repeated_3": [z, z, np.conj(z)],
+        }[case]
+
+        fine = np.ones(256, dtype=np.complex128)
+        for f in factors:
+            fine = fine * upsample(grid, f, 2)
+        literal = downsample(fine, 128)
+        assert dealiased_product_samples(grid, factors).tobytes() == literal.tobytes()
 
 
 class TestResampling:

@@ -8,6 +8,7 @@ from skdv.model import InitialData, ModelParams, SystemState, make_initial_data
 from skdv.spectral import ComplexField, RealField, SpectralGrid
 from skdv.virial import (
     VirialConfig,
+    _Weights,
     _window_times,
     check_key_identities,
     functional_J2,
@@ -107,6 +108,31 @@ class TestFunctionals:
         a = functional_J3(st, VirialConfig(theta3=1.0), params)
         b = functional_J3(st, VirialConfig(theta3=2.0), params)
         assert b == pytest.approx(2.0 * a, rel=1e-13)
+
+
+class TestWeightTables:
+    @pytest.mark.parametrize("t", [0.5, 2.0, 3.7, 150.0])
+    def test_tables_match_weight_functions(self, t):
+        # sech and tanh are shared within _Weights; every table must equal
+        # the public weight functions of the same arguments bit for bit
+        grid = SpectralGrid(512, 64.0)
+        cfg = VirialConfig()
+        wt = _Weights(grid, cfg, t)
+        x1, x2 = grid.x / cfg.lambda1(t), grid.x / cfg.lambda2(t)
+        l1, l2 = cfg.lambda1(t), cfg.lambda2(t)
+        expected = {
+            "w": weight_w(x1),
+            "g": weight_g(x2),
+            "wp": weight_g(x1),
+            "gp": weight_g1(x2),
+            "wg": weight_w(x1) * weight_g(x2),
+            "wpg": weight_g(x1) * weight_g(x2),
+            "d2": (weight_g1(x1) * weight_g(x2) / l1**2
+                   + 2.0 * weight_g(x1) * weight_g1(x2) / (l1 * l2)
+                   + weight_w(x1) * weight_g2(x2) / l2**2),
+        }
+        for name, want in expected.items():
+            assert getattr(wt, name).tobytes() == want.tobytes(), name
 
 
 class TestWindowTimes:
