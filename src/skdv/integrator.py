@@ -72,17 +72,47 @@ def _dispersion_factors(grid, dt: float):
     return np.exp(-1j * k**2 * dt), np.exp(1j * k**3 * dt)
 
 
+def _disperse(u, v, factors, u_out=None, v_out=None):
+    """Free evolution through ``factors`` from ``_dispersion_factors``:
+    u_hat *= fu, v_hat *= fv.  Each field is transformed in place in its
+    complex output array (fresh when not given); returns (u, v)."""
+    fu, fv = factors
+    n = u.shape[0]
+    u_out = np.empty(n, np.complex128) if u_out is None else u_out
+    v_out = np.empty(n, np.complex128) if v_out is None else v_out
+    np.fft.fft(u, out=u_out)
+    u_out *= fu
+    np.fft.ifft(u_out, out=u_out)
+    v_out[...] = v
+    np.fft.fft(v_out, out=v_out)
+    v_out *= fv
+    np.fft.ifft(v_out, out=v_out)
+    return u_out, v_out.real
+
+
 def dispersion_step(state: SystemState, dt: float) -> SystemState:
     """Exact free evolution: u_hat *= exp(-i k^2 dt), v_hat *= exp(i k^3 dt)."""
     grid = state.grid
-    fu, fv = _dispersion_factors(grid, dt)
-    u = np.fft.ifft(np.fft.fft(state.u.samples) * fu)
-    v = np.fft.ifft(np.fft.fft(state.v.samples) * fv).real
+    u, v = _disperse(state.u.samples, state.v.samples, _dispersion_factors(grid, dt))
     return SystemState(ComplexField(grid, u), RealField(grid, v), state.time + dt)
 
 
-def _nonlinear_substep(grid, u, v, dt, params: ModelParams):
-    """Raw-array nonlinear step.
+class _Work:
+    """The arrays a run steps in, allocated once: the spectra of the first
+    dispersion step, the flux spectrum (which also takes conj(u) and the
+    dealiased products), gamma*|u|^2, the RK4 stage argument, the running
+    RK4 sum (then the new v) and the latest RK4 stage."""
+
+    def __init__(self, grid):
+        n = grid.num_points
+        self.grid = grid
+        self.u_hat, self.v_hat, self.flux_hat = (np.empty(n, np.complex128) for _ in range(3))
+        self.gamma_u_sq, self.stage, self.total, self.k = (np.empty(n) for _ in range(4))
+
+
+def _nonlinear_substep(work: _Work, u, v, dt, params: ModelParams, u_out=None, v_out=None):
+    """Raw-array nonlinear step, written into ``u_out`` and ``v_out`` when
+    given, else into u itself and the work arrays.
 
     |u| is exactly invariant under the nonlinear subflow (the u equation is
     a pure phase rotation), so the v step with |u|^2 frozen introduces no
@@ -90,25 +120,50 @@ def _nonlinear_substep(grid, u, v, dt, params: ModelParams):
     rotation uses the trapezoidal average of v over the step to stay second
     order.
     """
-    u_sq = dealiased_product_samples(grid, [u, np.conj(u)]).real
+    grid, hat = work.grid, work.flux_hat
+    u_sq = dealiased_product_samples(grid, [u, np.conjugate(u, out=hat)], out=hat).real
 
     ik = grid.derivative_multiplier(1)
-    gamma_term = params.gamma * u_sq
+    gamma_term = np.multiply(params.gamma, u_sq, out=work.gamma_u_sq)
 
-    def flux(w):
-        w_sq = dealiased_product_samples(grid, [w, w]).real
-        return -np.fft.ifft(ik * np.fft.fft(0.5 * w_sq - gamma_term)).real
+    def flux(w, k):
+        """k = -d/dx (w^2/2 - gamma*|u|^2)."""
+        w_sq = dealiased_product_samples(grid, [w, w], out=hat).real
+        np.multiply(0.5, w_sq, out=k)
+        k -= gamma_term
+        hat[...] = k
+        np.fft.fft(hat, out=hat)
+        np.multiply(ik, hat, out=hat)
+        np.fft.ifft(hat, out=hat)
+        return np.negative(hat.real, out=k)
 
-    k1 = flux(v)
-    k2 = flux(v + 0.5 * dt * k1)
-    k3 = flux(v + 0.5 * dt * k2)
-    k4 = flux(v + dt * k3)
-    v_new = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # RK4: v + (dt/6)*(k1 + 2*k2 + 2*k3 + k4), the sum taken left to right
+    # as the stages come, so that one array holds each new stage
+    total, k, stage = work.total, work.k, work.stage
+    flux(v, total)
+    for i, h in enumerate((0.5 * dt, 0.5 * dt, dt)):
+        np.add(v, np.multiply(h, k if i else total, out=stage), out=stage)
+        if i:
+            k *= 2.0
+            total += k
+        flux(stage, k)
+    total += k
+    total *= dt / 6.0
+    v_new = np.add(v, total, out=total if v_out is None else v_out)
 
-    # u -> u * exp(-i*(alpha*v_avg + beta*|u|^2)*dt); |u| preserved pointwise
-    v_avg = 0.5 * (v + v_new)
-    u_new = u * np.exp(-1j * (params.alpha * v_avg + params.beta * np.abs(u) ** 2) * dt)
-    return u_new, v_new
+    # u -> u * exp(-i*(alpha*v_avg + beta*|u|^2)*dt); |u| preserved pointwise.
+    # The stages are spent, so their arrays hold the terms.
+    v_avg = np.add(v, v_new, out=k)
+    v_avg *= 0.5
+    v_avg *= params.alpha
+    beta_u_sq = np.abs(u, out=stage)
+    beta_u_sq **= 2
+    beta_u_sq *= params.beta
+    v_avg += beta_u_sq
+    phase = np.multiply(-1j, v_avg, out=hat)
+    phase *= dt
+    np.exp(phase, out=phase)
+    return np.multiply(u, phase, out=u if u_out is None else u_out), v_new
 
 
 def run(
@@ -141,20 +196,19 @@ def run(
     if on_snapshot is not None:
         on_snapshot(state0)
 
+    # only the arrays of each new state are fresh, so no state handed out
+    # shares memory with the work arrays or with another state
+    work = _Work(grid)
     u, v = state0.u.samples, state0.v.samples
     for step in range(1, n_steps + 1):
         if config.scheme == "strang":
-            fu, fv = f_half
-            u = np.fft.ifft(np.fft.fft(u) * fu)
-            v = np.fft.ifft(np.fft.fft(v) * fv).real
-            u, v = _nonlinear_substep(grid, u, v, dt, params)
-            u = np.fft.ifft(np.fft.fft(u) * fu)
-            v = np.fft.ifft(np.fft.fft(v) * fv).real
+            u, v = _disperse(u, v, f_half, work.u_hat, work.v_hat)
+            u, v = _nonlinear_substep(work, u, v, dt, params)
+            u, v = _disperse(u, v, f_half)
         else:
-            fu, fv = f_full
-            u = np.fft.ifft(np.fft.fft(u) * fu)
-            v = np.fft.ifft(np.fft.fft(v) * fv).real
-            u, v = _nonlinear_substep(grid, u, v, dt, params)
+            u, v = _disperse(u, v, f_full, work.u_hat, work.v_hat)
+            u, v = _nonlinear_substep(
+                work, u, v, dt, params, np.empty_like(u), np.empty(grid.num_points))
         t = state0.time + step * dt
 
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):

@@ -48,6 +48,7 @@ class SpectralGrid:
         self.odd_derivative_mask = np.ones(n)
         self.odd_derivative_mask[n // 2] = 0.0
         self._multipliers = {}
+        self._product_work = None
 
     def derivative_multiplier(self, order: int) -> np.ndarray:
         """(ik)^order, Nyquist zeroed for odd orders; built on first use."""
@@ -192,55 +193,73 @@ def derivative(f: Field, order: int = 1) -> Field:
     return ComplexField(f.grid, out)
 
 
-def _pad_spectrum(hat: np.ndarray, fine: int) -> np.ndarray:
-    n = hat.shape[0]
-    padded = np.zeros(fine, dtype=np.complex128)
-    half = n // 2
-    padded[:half] = hat[:half]
-    padded[fine - half + 1 :] = hat[half + 1 :]
-    # split the Nyquist coefficient symmetrically
-    padded[half] = 0.5 * hat[half]
-    padded[fine - half] = 0.5 * hat[half]
-    return padded
+def _product_work(grid: SpectralGrid):
+    """The work arrays of ``dealiased_product_samples`` on ``grid``, built on
+    first use: the 2N padded spectrum, whose middle is zero and never
+    written, and the 2N fine buffers, at most three, added as a product
+    needs them."""
+    if grid._product_work is None:
+        grid._product_work = (np.zeros(2 * grid.num_points, np.complex128), [])
+    return grid._product_work
 
 
-def _truncate_spectrum(padded: np.ndarray, n: int) -> np.ndarray:
-    fine = padded.shape[0]
-    half = n // 2
-    hat = np.zeros(n, dtype=np.complex128)
-    hat[:half] = padded[:half]
-    hat[half + 1 :] = padded[fine - half + 1 :]
-    hat[half] = padded[half] + padded[fine - half]
-    return hat
+def dealiased_product_samples(
+    grid: SpectralGrid, factors: list[np.ndarray], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Alias-free pointwise product of 2 or 3 sample arrays; complex output,
+    written into ``out`` (complex, N points) when given.  ``out`` may be one
+    of the factors: every factor is read before it is written.
 
-
-def upsample(grid: SpectralGrid, samples: np.ndarray, factor: int = 2) -> np.ndarray:
-    """Spectral interpolation of samples onto a grid refined by ``factor``."""
-    n = grid.num_points
-    fine = factor * n
-    hat = np.fft.fft(samples)
-    return np.fft.ifft(_pad_spectrum(hat, fine)) * factor
-
-
-def downsample(fine_samples: np.ndarray, n: int) -> np.ndarray:
-    """Spectral truncation of fine-grid samples back to n modes."""
-    fine = fine_samples.shape[0]
-    hat = np.fft.fft(fine_samples) * (n / fine)
-    return np.fft.ifft(_truncate_spectrum(hat, n))
-
-
-def dealiased_product_samples(grid: SpectralGrid, factors: list[np.ndarray]) -> np.ndarray:
-    """Alias-free pointwise product of 2 or 3 sample arrays; complex output.
-    A factor given more than once (the same array object) is upsampled once."""
+    Each factor is interpolated onto the 2x grid (its spectrum zero-padded,
+    the Nyquist coefficient split in half, times 2), the factors are
+    multiplied left to right there, and the product is truncated back to N
+    modes (times 1/2, the two Nyquist halves summed).  A factor given more
+    than once (the same array object) is interpolated once.  All of it runs
+    in the grid's work arrays, built on the first call, so a later call
+    allocates nothing but a fresh ``out``.
+    """
     if len(factors) not in (2, 3):
         raise ValueError(f"dealiased product takes 2 or 3 factors, got {len(factors)}")
+    n = grid.num_points
+    fine_n, half = 2 * n, n // 2
+    padded, fine = _product_work(grid)
+
+    def fine_buffer(i):
+        if i == len(fine):
+            fine.append(np.empty(fine_n, np.complex128))
+        return fine[i]
+
     upsampled = {}
-    fine = None
     for f in factors:
         if id(f) not in upsampled:
-            upsampled[id(f)] = upsample(grid, f, 2)
-        fine = upsampled[id(f)] if fine is None else fine * upsampled[id(f)]
-    return downsample(fine, grid.num_points)
+            # the N-point spectrum is formed in the first half of the fine
+            # buffer that the interpolated factor then fills
+            up = upsampled[id(f)] = fine_buffer(len(upsampled))
+            spectrum = up[:n]
+            spectrum[...] = f
+            np.fft.fft(spectrum, out=spectrum)
+            padded[:half] = spectrum[:half]
+            padded[fine_n - half + 1 :] = spectrum[half + 1 :]
+            padded[half] = padded[fine_n - half] = 0.5 * spectrum[half]
+            np.fft.ifft(padded, out=up)
+            up *= 2
+    up = [upsampled[id(f)] for f in factors]
+    # the running product overwrites an upsampled factor that no later
+    # factor needs; only [a, a, a] needs a buffer of its own
+    last = up[2] if len(up) == 3 else None
+    running = next((b for b in up[:2] if b is not last), None)
+    if running is None:
+        running = fine_buffer(1)
+    np.multiply(up[0], up[1], out=running)
+    if last is not None:
+        np.multiply(running, last, out=running)
+
+    # truncated in place: the first N entries become the N-point spectrum
+    np.fft.fft(running, out=running)
+    running *= 0.5
+    running[half + 1 : n] = running[fine_n - half + 1 :]
+    running[half] += running[fine_n - half]
+    return np.fft.ifft(running[:n], out=out)
 
 
 def dealiased_product(fields: list[Field]) -> Field:

@@ -5,7 +5,13 @@ import pytest
 
 from skdv.integrator import BlowUpError, StepperConfig, dispersion_step, run
 from skdv.model import InitialData, ModelParams, SystemState, make_initial_data
-from skdv.spectral import ComplexField, RealField, SpectralGrid, integrate
+from skdv.spectral import (
+    ComplexField,
+    RealField,
+    SpectralGrid,
+    dealiased_product_samples,
+    integrate,
+)
 
 
 @pytest.fixture
@@ -126,6 +132,102 @@ class TestRun:
         assert np.all(np.isfinite(last.u.samples)) and np.all(np.isfinite(last.v.samples))
         assert [s.time for s in exc.result.snapshots] == pytest.approx(
             np.arange(0.0, exc.time, 0.5))
+
+
+def literal_run(state, dt, n_steps, scheme, params):
+    """The stepper as first written, allocating every array: the literal
+    oracle that ``run`` must match bit for bit."""
+    grid = state.grid
+    k = grid.wavenumbers
+    ik = 1j * k * grid.odd_derivative_mask
+    h = 0.5 * dt if scheme == "strang" else dt
+    fu, fv = np.exp(-1j * k**2 * h), np.exp(1j * k**3 * h)
+
+    def disperse(u, v):
+        return np.fft.ifft(np.fft.fft(u) * fu), np.fft.ifft(np.fft.fft(v) * fv).real
+
+    def nonlinear(u, v):
+        u_sq = dealiased_product_samples(grid, [u, np.conj(u)]).real
+        gamma_term = params.gamma * u_sq
+
+        def flux(w):
+            w_sq = dealiased_product_samples(grid, [w, w]).real
+            return -np.fft.ifft(ik * np.fft.fft(0.5 * w_sq - gamma_term)).real
+
+        k1 = flux(v)
+        k2 = flux(v + 0.5 * dt * k1)
+        k3 = flux(v + 0.5 * dt * k2)
+        k4 = flux(v + dt * k3)
+        v_new = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v_avg = 0.5 * (v + v_new)
+        u_new = u * np.exp(-1j * (params.alpha * v_avg + params.beta * np.abs(u) ** 2) * dt)
+        return u_new, v_new
+
+    u, v = state.u.samples, state.v.samples
+    for _ in range(n_steps):
+        u, v = nonlinear(*disperse(u, v))
+        if scheme == "strang":
+            u, v = disperse(u, v)
+    return u, v
+
+
+class TestWorkArrays:
+    """The stepper runs in preallocated work arrays; it must give the bits
+    of the allocating formulas and hand out states of their own."""
+
+    PARAMS = ModelParams(1.0, 0.7, 1.3)
+
+    @pytest.fixture
+    def state0(self, grid):
+        return make_initial_data(
+            InitialData(family="modulated_gaussian", amplitude_u=0.6, amplitude_v=0.5,
+                        width_u=2.0, width_v=1.5, carrier=0.75), grid)
+
+    @pytest.mark.parametrize("scheme", ["strang", "lie"])
+    def test_matches_literal_stepper(self, state0, scheme):
+        dt = 5e-3
+        cfg = StepperConfig(dt=dt, t_end=200 * dt, scheme=scheme, snapshot_stride=10**9)
+        out = run(state0, cfg, self.PARAMS, keep_snapshots=False).final_state
+        u, v = literal_run(state0, dt, 200, scheme, self.PARAMS)
+        assert out.u.samples.tobytes() == u.tobytes()
+        assert out.v.samples.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["strang", "lie"])
+    def test_states_do_not_alias(self, state0, scheme):
+        copies = []
+
+        def keep_copy(s):
+            copies.append((s, s.u.samples.copy(), s.v.samples.copy()))
+
+        cfg = StepperConfig(dt=5e-3, t_end=0.1, scheme=scheme, snapshot_stride=3)
+        res = run(state0, cfg, self.PARAMS, per_step=keep_copy, on_snapshot=keep_copy)
+        states = [s for s, _, _ in copies] + res.snapshots + [res.final_state]
+        for s, u, v in copies:
+            assert s.u.samples.tobytes() == u.tobytes()
+            assert s.v.samples.tobytes() == v.tobytes()
+        # the states of one step share their arrays; those of two steps not
+        arrays = [(s.time, a) for s in states for a in (s.u.samples, s.v.samples)]
+        for i, (t, a) in enumerate(arrays):
+            for t_b, b in arrays[i + 1 :]:
+                assert t_b == t or not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("scheme, calls", [("strang", 38), ("lie", 34)])
+    def test_fft_calls_per_step(self, state0, monkeypatch, scheme, calls):
+        # counted through the public numpy.fft functions, the ones the
+        # benchmark's tracer wraps
+        counts = {}
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        cfg = StepperConfig(dt=1e-2, t_end=0.05, scheme=scheme)
+        run(state0, cfg, self.PARAMS)
+        assert sum(counts.values()) == 5 * calls
+        assert set(counts) == {"fft", "ifft"}
 
 
 class TestExactSymmetries:

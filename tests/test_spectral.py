@@ -11,12 +11,47 @@ from skdv.spectral import (
     dealiased_product_samples,
     derivative,
     derivative_samples,
-    downsample,
     h1_norm,
     integrate,
     l2_norm,
-    upsample,
 )
+
+
+# The dealiased product as first written, allocating every array: the
+# literal oracle that ``dealiased_product_samples`` must match bit for bit.
+
+def upsample(grid, samples, factor=2):
+    """Spectral interpolation of samples onto a grid refined by ``factor``."""
+    n = grid.num_points
+    fine = factor * n
+    hat = np.fft.fft(samples)
+    padded = np.zeros(fine, dtype=np.complex128)
+    half = n // 2
+    padded[:half] = hat[:half]
+    padded[fine - half + 1 :] = hat[half + 1 :]
+    # split the Nyquist coefficient symmetrically
+    padded[half] = 0.5 * hat[half]
+    padded[fine - half] = 0.5 * hat[half]
+    return np.fft.ifft(padded) * factor
+
+
+def downsample(fine_samples, n):
+    """Spectral truncation of fine-grid samples back to n modes."""
+    fine = fine_samples.shape[0]
+    padded = np.fft.fft(fine_samples) * (n / fine)
+    half = n // 2
+    hat = np.zeros(n, dtype=np.complex128)
+    hat[:half] = padded[:half]
+    hat[half + 1 :] = padded[fine - half + 1 :]
+    hat[half] = padded[half] + padded[fine - half]
+    return np.fft.ifft(hat)
+
+
+def literal_product(grid, factors):
+    fine = np.ones(2 * grid.num_points, dtype=np.complex128)
+    for f in factors:
+        fine = fine * upsample(grid, f, 2)
+    return downsample(fine, grid.num_points)
 
 
 class TestSpectralGrid:
@@ -219,19 +254,14 @@ class TestDealiasedProduct:
         w = rng.standard_normal(128)
         u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
 
-        def separate(factors):
-            fine = np.ones(256, dtype=np.complex128)
-            for f in factors:
-                fine = fine * upsample(grid, f, 2)
-            return downsample(fine, 128)
-
-        assert np.all(dealiased_product_samples(grid, [w, w]) == separate([w, w.copy()]))
+        assert np.all(
+            dealiased_product_samples(grid, [w, w]) == literal_product(grid, [w, w.copy()]))
         cubic = [u, u, np.conj(u)]
-        assert np.all(dealiased_product_samples(grid, cubic) == separate(cubic))
-
+        assert np.all(dealiased_product_samples(grid, cubic) == literal_product(grid, cubic))
 
     @pytest.mark.parametrize("case", ["real_2", "complex_2", "mixed_2", "real_3",
-                                      "complex_3", "repeated_2", "repeated_3"])
+                                      "complex_3", "repeated_2", "repeated_3",
+                                      "first_last", "last_two", "all_three"])
     def test_matches_literal_formula(self, case):
         # the product, bit for bit, as written with a ones seed that every
         # upsampled factor multiplies
@@ -243,13 +273,46 @@ class TestDealiasedProduct:
             "real_2": [a, b], "complex_2": [z, y], "mixed_2": [a, z],
             "real_3": [a, b, c], "complex_3": [z, y, np.conj(z)],
             "repeated_2": [a, a], "repeated_3": [z, z, np.conj(z)],
+            "first_last": [z, a, z], "last_two": [a, z, z], "all_three": [z, z, z],
         }[case]
-
-        fine = np.ones(256, dtype=np.complex128)
-        for f in factors:
-            fine = fine * upsample(grid, f, 2)
-        literal = downsample(fine, 128)
+        literal = literal_product(grid, factors)
         assert dealiased_product_samples(grid, factors).tobytes() == literal.tobytes()
+
+    def test_out_is_returned_and_may_be_a_factor(self):
+        grid = SpectralGrid(64, 8.0)
+        rng = np.random.default_rng(6)
+        a, b = rng.standard_normal(64), rng.standard_normal(64)
+        buf = np.empty(64, dtype=np.complex128)
+        assert dealiased_product_samples(grid, [a, b], out=buf) is buf
+        assert buf.tobytes() == dealiased_product_samples(grid, [a, b]).tobytes()
+        # out may be one of the factors
+        z = a + 1j * b
+        want = dealiased_product_samples(grid, [z, b, z])
+        assert dealiased_product_samples(grid, [z, b, z], out=z).tobytes() == want.tobytes()
+
+    def test_padded_middle_stays_zero(self):
+        # a full-band product, whose fine-grid spectrum fills every mode,
+        # must leave nothing behind in the work arrays of its grid
+        grid = SpectralGrid(64, np.pi)
+        rng = np.random.default_rng(7)
+        noise = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        dealiased_product_samples(grid, [noise, noise, np.conj(noise)])
+        narrow = [np.sin(3.0 * grid.x), np.cos(5.0 * grid.x)]
+        fresh = dealiased_product_samples(SpectralGrid(64, np.pi), narrow)
+        assert dealiased_product_samples(grid, narrow).tobytes() == fresh.tobytes()
+
+    def test_grids_interleaved(self):
+        rng = np.random.default_rng(8)
+        cases = [(SpectralGrid(n, 8.0), [rng.standard_normal(n) for _ in range(3)])
+                 for n in (64, 128)]
+        separate = [[dealiased_product_samples(SpectralGrid(g.num_points, 8.0), fs[:k])
+                     for k in (2, 3)] for g, fs in cases]
+        interleaved = [[], []]
+        for k in (2, 3):
+            for i, (g, fs) in enumerate(cases):
+                interleaved[i].append(dealiased_product_samples(g, fs[:k]))
+        for got, want in zip(interleaved, separate):
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 class TestResampling:
