@@ -19,14 +19,13 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from . import conservation, decay, momentum, virial
+from . import conservation, decay, experiments, momentum, virial
 from .integrator import BlowUpError, StepperConfig, run as run_integrator
-from .model import InitialData, ModelParams, SystemState, kdv_soliton_profile, make_initial_data
-from .spectral import ComplexField, RealField, SpectralGrid, h1_norm
+from .model import InitialData, ModelParams, SystemState, make_initial_data
+from .spectral import SpectralGrid, h1_norm
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
 
@@ -54,13 +53,19 @@ class RunConfig:
     config_hash: str
 
 
+# the [initial] keys each family that an INI can build reads, besides "family"
+_FAMILY_KEYS = {
+    "zero": set(),
+    "gaussian": {"amplitude_u", "amplitude_v", "width_u", "width_v"},
+    "modulated_gaussian": {"amplitude_u", "amplitude_v", "width_u", "width_v", "carrier"},
+    "kdv_soliton": {"speed"},
+}
+
 _KNOWN_KEYS = {
     "grid": {"n", "l"},
     "stepper": {"dt", "t_end", "scheme", "snapshot_stride"},
     "model": {"alpha", "beta", "gamma"},
-    "initial": {
-        "family", "amplitude_u", "amplitude_v", "width_u", "width_v", "carrier", "speed",
-    },
+    "initial": {"family"}.union(*_FAMILY_KEYS.values()),
     "virial": {"p1", "p2", "theta2", "theta3"},
     "window": {"p", "m", "constant", "power_exponent"},
     "output": {"directory", "strict"},
@@ -101,6 +106,14 @@ def load_config(path: str | Path) -> RunConfig:
         extra = set(parser.options(section)) - _KNOWN_KEYS[section]
         if extra:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(extra)}")
+    family = _get(parser, "initial", "family", str, "gaussian")
+    if family not in _FAMILY_KEYS:
+        raise ConfigError(f"[initial] family must be one of {sorted(_FAMILY_KEYS)}, "
+                          f"got {family!r}")
+    if parser.has_section("initial"):
+        unread = set(parser.options("initial")) - {"family"} - _FAMILY_KEYS[family]
+        if unread:
+            raise ConfigError(f"[initial] family {family!r} does not read {sorted(unread)}")
 
     try:
         grid = SpectralGrid(
@@ -120,7 +133,7 @@ def load_config(path: str | Path) -> RunConfig:
             gamma=_get(parser, "model", "gamma", float, 1.0),
         )
         initial = InitialData(
-            family=_get(parser, "initial", "family", str, "gaussian"),
+            family=family,
             amplitude_u=_get(parser, "initial", "amplitude_u", float, 1.0),
             amplitude_v=_get(parser, "initial", "amplitude_v", float, 1.0),
             width_u=_get(parser, "initial", "width_u", float, 1.0),
@@ -180,35 +193,18 @@ def _fmt(x) -> str:
 
 
 def _checked(fn, *args):
-    """``fn(*args)``; a ValueError (degenerate parameters) becomes a ConfigError."""
+    """``fn(*args)``; a ValueError (degenerate parameters or initial data)
+    becomes a ConfigError."""
     try:
         return fn(*args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-class _VirialEntry(NamedTuple):
-    """What the residual window keeps of one snapshot."""
-
-    time: float
-    j2: float
-    j3: float
-    pieces: tuple | None  # (_j2_pieces, _j3_pieces) at t >= 2, else None
-
-
-def _window_residuals(window, cfg: RunConfig):
-    """prop2, prop3 and combined residuals at the centre of a window of
-    _VirialEntry; nan unless it is complete and evenly spaced."""
-    try:
-        h = virial._window_times(window)
-    except ValueError:  # under 5 snapshots, uneven last stride, or a centre before t = 2
-        return (np.nan,) * 3
-    centre = window[2]
-    p2, p3 = centre.pieces
-    r2 = virial._prop2_sample(centre.time, h, p2, virial._dt4([e.j2 for e in window], h))
-    r3 = virial._prop3_sample(centre.time, h, p3, virial._dt4([e.j3 for e in window], h))
-    return r2.residual, r3.residual, (
-        r2.residual + r3.residual if cfg.virial.theta3 == "auto" else np.nan)
+def _initial_state(cfg: RunConfig) -> SystemState:
+    """The configured initial state.  Data with a boundary tail above 1e-6,
+    or a nonpositive width or soliton speed, is a config error."""
+    return _checked(make_initial_data, cfg.initial, cfg.grid, 1e-6)
 
 
 def _cmd_run(cfg: RunConfig) -> int:
@@ -218,7 +214,7 @@ def _cmd_run(cfg: RunConfig) -> int:
     one, so that the last finite snapshot of a blow-up can carry the flag."""
     params, vcfg = cfg.params, cfg.virial
     _checked(vcfg.theta3_value, params)
-    state0 = make_initial_data(cfg.initial, cfg.grid, boundary_threshold=1e-6)
+    state0 = _initial_state(cfg)
     slope = _checked(momentum.predicted_slope, state0, params)
     c_gn = conservation.estimate_gn_constant(cfg.grid)
     phi = (conservation.phi_smallness(h1_norm(state0.u), h1_norm(state0.v), params, c_gn).phi
@@ -239,7 +235,7 @@ def _cmd_run(cfg: RunConfig) -> int:
     fh_f, w_f = _open_csv(out / "flags.csv", cfg.config_hash,
                           ["t", "boundary_mass", "blowup", "window_clipped"])
 
-    window = deque(maxlen=5)  # _VirialEntry of the latest snapshots
+    window = deque(maxlen=5)  # virial.WindowEntry of the latest snapshots
     flags_row = None  # the newest flags.csv row
     written = 0
     boundary_hit = False
@@ -248,20 +244,23 @@ def _cmd_run(cfg: RunConfig) -> int:
     def virial_row(entry, residuals=(np.nan,) * 3):
         w_v.writerow(map(_fmt, [entry.time, entry.j2, entry.j3, *residuals]))
 
+    def residual_columns():
+        """prop2, prop3 and combined residuals at the window's centre; nan
+        under 5 snapshots, after an uneven last stride or before t = 2."""
+        try:
+            r2, r3 = virial.window_residuals(window)
+        except ValueError:
+            return (np.nan,) * 3
+        return r2.residual, r3.residual, (
+            r2.residual + r3.residual if vcfg.theta3 == "auto" else np.nan)
+
     def on_snapshot(s):
         nonlocal written, boundary_hit, flags_row
         written += 1
-        wt, j2, j3, pieces = None, np.nan, np.nan, None
-        if s.time > 0:
-            wt = virial._Weights(s.grid, vcfg, s.time)
-            j2 = virial.functional_J2(s, vcfg, params, weights=wt)
-            j3 = virial.functional_J3(s, vcfg, params, weights=wt)
-        if s.time >= 2:
-            pieces = (virial._j2_pieces(s, vcfg, params, wt),
-                      virial._j3_pieces(s, vcfg, params, wt))
-        window.append(_VirialEntry(s.time, j2, j3, pieces))
+        wt = virial.Weights(s.grid, vcfg, s.time) if s.time > 0 else None
+        window.append(virial.window_entry(s, vcfg, params, wt))
         if len(window) >= 3:
-            virial_row(window[-3], _window_residuals(window, cfg))
+            virial_row(window[-3], residual_columns())
 
         inv = conservation.invariant_sample(s, params)
         margin = phi - (inv.u_h1 + inv.v_h1) if np.isfinite(phi) else np.nan
@@ -328,29 +327,10 @@ def _cmd_run(cfg: RunConfig) -> int:
 
 
 def _cmd_verify_identities(cfg: RunConfig) -> int:
-    params = cfg.params
-    _checked(cfg.virial.theta3_value, params)
-    state0 = make_initial_data(cfg.initial, cfg.grid, boundary_threshold=1e-6)
-    t_center = max(cfg.stepper.t_end, 3.0)
-    dts = [2e-3, 1e-3, 5e-4]
-    rows = []
-    for dt in dts:
-        n_center = int(round(t_center / dt))
-        stepper = StepperConfig(dt=dt, t_end=(n_center + 2) * dt,
-                                scheme=cfg.stepper.scheme, snapshot_stride=1)
-        last5 = deque(maxlen=5)
-        run_integrator(state0, stepper, params, per_step=last5.append, keep_snapshots=False)
-        window = list(last5)
-        if cfg.virial.theta3 == "auto":
-            rc = virial.identity_residual_combined(window, cfg.virial, params)
-            r2, r3 = rc.prop2, rc.prop3
-            combined, coeff = abs(rc.sample.residual), rc.coefficient_sum
-        else:  # the mixed terms cancel only under theta3='auto'
-            r2 = virial.identity_residual_prop2(window, cfg.virial, params)
-            r3 = virial.identity_residual_prop3(window, cfg.virial, params)
-            combined = coeff = np.nan
-        rows.append((dt, abs(r2.residual), abs(r3.residual), combined, coeff))
-
+    _checked(cfg.virial.theta3_value, cfg.params)
+    rows = experiments.identity_window(_initial_state(cfg), cfg.params, cfg.virial,
+                                       [2e-3, 1e-3, 5e-4], max(cfg.stepper.t_end, 3.0),
+                                       cfg.stepper.scheme)
     print(f"{'dt':>10} {'|res_prop2|':>14} {'|res_prop3|':>14} {'|res_combined|':>15}")
     for dt, a, b, c, _ in rows:
         print(f"{dt:>10.1e} {a:>14.6e} {b:>14.6e} {c:>15.6e}")
@@ -367,41 +347,20 @@ def _cmd_verify_identities(cfg: RunConfig) -> int:
 
 
 def _cmd_scan_decay(cfg: RunConfig) -> int:
-    params = cfg.params
-    state0 = make_initial_data(cfg.initial, cfg.grid, boundary_threshold=1e-6)
-    accumulators = decay.make_accumulators()
-    times, mixed_vals, gradv_vals = [], [], []
-
-    def on_snapshot(s):
-        if s.time <= 0:
-            return
-        times.append(s.time)
-        mixed_vals.append(decay.windowed_energy(s, cfg.window, "mixed", params).value)
-        gradv_vals.append(decay.windowed_energy(s, cfg.window, "grad_v", params).value)
-        if s.time >= 2:
-            decay.weighted_accumulator_step(
-                s, cfg.virial, params, accumulators, cfg.power_exponent
-            )
-
-    try:
-        run_integrator(state0, cfg.stepper, params, on_snapshot=on_snapshot,
-                       keep_snapshots=False)
-    except BlowUpError as exc:
-        print(f"blow-up detected at t={exc.time:g}", file=sys.stderr)
-        return EXIT_BLOWUP
-
-    for label, vals in (("mixed", mixed_vals), ("grad_v", gradv_vals)):
-        report = decay.liminf_tracker(times, vals)
+    scan = experiments.decay_scan(_initial_state(cfg), cfg.stepper, cfg.params, cfg.window,
+                                  cfg.virial, cfg.power_exponent)
+    for label, vals in (("mixed", scan.mixed), ("grad_v", scan.grad_v)):
+        report = decay.liminf_tracker(scan.times, vals)
         print(f"{label}: running min {report.running_min:.6e}, "
               f"block minima {[f'{m:.3e}' for m in report.block_minima]}, "
               f"log-log slope {report.loglog_slope:.3f}, decayed={report.decayed}")
     for tag in decay.ACCUMULATOR_TAGS:
-        print(f"accumulator {tag}: {accumulators[tag].value:.6e}")
+        print(f"accumulator {tag}: {scan.accumulators[tag].value:.6e}")
     return EXIT_OK
 
 
 def _cmd_check_smallness(cfg: RunConfig) -> int:
-    state0 = make_initial_data(cfg.initial, cfg.grid, boundary_threshold=1e-6)
+    state0 = _initial_state(cfg)
     c_gn = conservation.estimate_gn_constant(cfg.grid)
     report = _checked(conservation.phi_smallness, h1_norm(state0.u), h1_norm(state0.v),
                       cfg.params, c_gn)
@@ -416,45 +375,15 @@ def _cmd_check_smallness(cfg: RunConfig) -> int:
 
 
 def _cmd_convergence(cfg: RunConfig) -> int:
-    grid = cfg.grid
-    x = grid.x
-
-    # free Schrodinger evolution of exp(-x^2), closed form
-    params_free = ModelParams(alpha=0.0, beta=0.0, gamma=0.0)
-    u0 = np.exp(-(x**2)).astype(complex)
-    state = SystemState(ComplexField(grid, u0), RealField(grid, np.zeros_like(x)), 0.0)
-    res = run_integrator(state, StepperConfig(dt=1e-3, t_end=1.0, snapshot_stride=1000),
-                         params_free, keep_snapshots=False)
-    sigma = 1.0 + 4.0j * 1.0
-    exact = np.exp(-(x**2) / sigma) / np.sqrt(sigma)
-    err_u = float(np.sqrt(grid.spacing * np.sum(np.abs(res.final_state.u.samples - exact) ** 2)))
+    state0 = _initial_state(cfg)
+    err_u, err_v = experiments.analytic_errors(cfg.grid)
     print(f"free-Schrodinger L2 error at t=1: {err_u:.3e}")
-
-    # decoupled KdV soliton, c = 1
-    params_kdv = ModelParams(alpha=0.0, beta=0.0, gamma=0.0)
-    v0 = kdv_soliton_profile(x, 1.0)
-    state = SystemState(ComplexField(grid, np.zeros_like(x, dtype=complex)),
-                        RealField(grid, v0), 0.0)
-    res = run_integrator(state, StepperConfig(dt=5e-4, t_end=5.0, snapshot_stride=10000),
-                         params_kdv, keep_snapshots=False)
-    shift = np.argmin(np.abs(x - 5.0)) - np.argmin(np.abs(x))
-    exact_v = np.roll(v0, shift)
-    err_v = float(np.sqrt(grid.spacing * np.sum((res.final_state.v.samples - exact_v) ** 2)))
     print(f"KdV soliton L2 shape error at t=5: {err_v:.3e}")
 
     # self-convergence of Q and E drifts under dt halving
-    params = cfg.params
-    state0 = make_initial_data(cfg.initial, cfg.grid, boundary_threshold=1e-6)
-    q0 = conservation.q_momentum(state0, params)
-    e0 = conservation.energy(state0, params)
+    drifts = experiments.drift_halving(state0, cfg.params, (4e-3, 2e-3, 1e-3), 5.0)
     print(f"{'dt':>10} {'|Q drift|':>14} {'|E drift|':>14}")
-    drifts = []
-    for dt in (4e-3, 2e-3, 1e-3):
-        res = run_integrator(state0, StepperConfig(dt=dt, t_end=5.0, snapshot_stride=10**9),
-                             params, keep_snapshots=False)
-        dq = abs(conservation.q_momentum(res.final_state, params) - q0)
-        de = abs(conservation.energy(res.final_state, params) - e0)
-        drifts.append((dt, dq, de))
+    for dt, dq, de in drifts:
         print(f"{dt:>10.1e} {dq:>14.6e} {de:>14.6e}")
     for j in range(1, len(drifts)):
         rq = drifts[j - 1][1] / max(drifts[j][1], 1e-300)
@@ -484,13 +413,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](load_config(args.config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

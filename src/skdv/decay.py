@@ -17,7 +17,7 @@ import numpy as np
 from .conservation import SmallnessReport
 from .model import ModelParams, SystemState
 from .spectral import integrate
-from .virial import VirialConfig, _Weights, weight_g
+from .virial import VirialConfig, Weights, weight_g
 
 __all__ = [
     "WindowSpec",
@@ -227,7 +227,7 @@ def weighted_accumulator_step(
     params: ModelParams,
     accumulators: dict,
     power_exponent: float = 0.5,
-    weights: _Weights | None = None,
+    weights: Weights | None = None,
 ) -> dict:
     """Advance every accumulator by the trapezoidal rule with the integrand
 

@@ -1,5 +1,5 @@
-"""Right-hand sides, parameter regimes and initial-data families for the
-coupled Schrodinger-KdV system
+"""Parameters, states and initial-data families for the coupled
+Schrodinger-KdV system
 
     i u_t + u_xx = alpha*u*v + beta*u*|u|^2
     v_t + v_xxx + v*v_x = gamma*(|u|^2)_x
@@ -11,20 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (
-    ComplexField,
-    RealField,
-    SpectralGrid,
-    dealiased_product_samples,
-    derivative_samples,
-)
+from .spectral import ComplexField, RealField, SpectralGrid
 
 __all__ = [
     "ModelParams",
     "InitialData",
     "SystemState",
-    "rhs_nonlinear_u",
-    "rhs_nonlinear_v",
     "make_initial_data",
     "kdv_soliton_profile",
 ]
@@ -35,7 +27,8 @@ class ModelParams:
     """Coupling coefficients (alpha, beta, gamma).
 
     The global H1 theory requires alpha*gamma > 0; runs outside that regime
-    are only meaningful as integrator validation cases and must be flagged.
+    are only meaningful as integrator validation cases (``full_regime``
+    tells them apart).
     """
 
     alpha: float
@@ -45,10 +38,6 @@ class ModelParams:
     @property
     def full_regime(self) -> bool:
         return self.alpha * self.gamma > 0
-
-    @property
-    def regime(self) -> str:
-        return "coupled" if self.full_regime else "test"
 
 
 @dataclass(frozen=True)
@@ -146,37 +135,3 @@ def make_initial_data(
         )
     return state
 
-
-def rhs_nonlinear_u(state: SystemState, params: ModelParams) -> ComplexField:
-    """Non-dispersive part of u_t: returns -i*(alpha*u*v + beta*u*|u|^2),
-    with both products dealiased."""
-    grid = state.grid
-    u, v = state.u.samples, state.v.samples
-    uv = dealiased_product_samples(grid, [u, v])
-    cubic = dealiased_product_samples(grid, [u, u, np.conj(u)])
-    return ComplexField(grid, -1j * (params.alpha * uv + params.beta * cubic))
-
-
-def rhs_nonlinear_v(
-    state: SystemState, params: ModelParams, form: str = "conservative"
-) -> RealField:
-    """Nonlinear part of v_t.
-
-    conservative: -d/dx(v^2/2 - gamma*|u|^2)   (used for stepping; a perfect
-                  derivative, so the spatial mean of v is invariant)
-    advective:    -v*v_x + gamma*d/dx(|u|^2)   (cross-check form)
-    """
-    grid = state.grid
-    u, v = state.u.samples, state.v.samples
-    u_sq = dealiased_product_samples(grid, [u, np.conj(u)]).real
-    if form == "conservative":
-        v_sq = dealiased_product_samples(grid, [v, v]).real
-        flux = 0.5 * v_sq - params.gamma * u_sq
-        out = -derivative_samples(grid, flux, 1)
-    elif form == "advective":
-        vx = derivative_samples(grid, v, 1).real
-        vvx = dealiased_product_samples(grid, [v, vx]).real
-        out = -vvx + params.gamma * derivative_samples(grid, u_sq, 1)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return RealField(grid, out.real)

@@ -1,5 +1,5 @@
-"""Periodic spectral discretization: grids, fields, derivatives, dealiased
-products and quadrature.
+"""Periodic spectral discretization: grids, fields, spectral derivatives of
+sample arrays, dealiased products of sample arrays, quadrature and norms.
 
 The real line is approximated by the periodic box [-L, L).  All nonlinear
 products are formed on a zero-padded fine grid (2x the modes) so that both
@@ -17,8 +17,8 @@ __all__ = [
     "SpectralGrid",
     "RealField",
     "ComplexField",
-    "derivative",
-    "dealiased_product",
+    "derivative_samples",
+    "dealiased_product_samples",
     "integrate",
     "l2_norm",
     "h1_norm",
@@ -166,31 +166,13 @@ class ComplexField(_Samples):
 Field = RealField | ComplexField
 
 
-def _discard_imag(values: np.ndarray) -> np.ndarray:
-    scale = max(float(np.max(np.abs(values.real))), 1.0)
-    residue = float(np.max(np.abs(values.imag)))
-    if residue > 1e-12 * scale:
-        raise ValueError(f"imaginary residue {residue:.3e} too large for a real field")
-    return values.real.copy()
-
-
 def derivative_samples(grid: SpectralGrid, samples: np.ndarray, order: int) -> np.ndarray:
-    """Spectral derivative of raw samples; complex output."""
+    """Spectral derivative of raw samples; complex output.  The Nyquist
+    mode is zeroed for odd orders, so real samples give a real derivative
+    up to round-off."""
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
     return np.fft.ifft(np.fft.fft(samples) * grid.derivative_multiplier(order))
-
-
-def derivative(f: Field, order: int = 1) -> Field:
-    """Spectral derivative of the given order (1..3).
-
-    Real input yields real output; the Nyquist mode is zeroed for odd
-    orders so the operator maps real fields to real fields.
-    """
-    out = derivative_samples(f.grid, f.samples, order)
-    if isinstance(f, RealField):
-        return RealField(f.grid, _discard_imag(out))
-    return ComplexField(f.grid, out)
 
 
 def _product_work(grid: SpectralGrid):
@@ -260,25 +242,6 @@ def dealiased_product_samples(
     running[half + 1 : n] = running[fine_n - half + 1 :]
     running[half] += running[fine_n - half]
     return np.fft.ifft(running[:n], out=out)
-
-
-def dealiased_product(fields: list[Field]) -> Field:
-    """Pointwise product of 2 or 3 fields computed on a 2x zero-padded grid.
-
-    Exact whenever the combined bandwidth of the factors fits within 2N
-    modes; in particular a triple product of N/3-band-limited fields is
-    alias-free, which the 2/3 truncation rule would not give for cubics.
-    """
-    if len(fields) not in (2, 3):
-        raise ValueError(f"dealiased product takes 2 or 3 fields, got {len(fields)}")
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise ValueError("dealiased product requires all fields on the same grid")
-    out = dealiased_product_samples(grid, [f.samples for f in fields])
-    if all(isinstance(f, RealField) for f in fields):
-        return RealField(grid, _discard_imag(out))
-    return ComplexField(grid, out)
 
 
 def integrate(f: Field | np.ndarray, grid: SpectralGrid | None = None):

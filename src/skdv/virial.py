@@ -12,6 +12,7 @@ O(dt^2) splitting error of the integrator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,9 @@ from .spectral import derivative_samples, integrate
 
 __all__ = [
     "VirialConfig",
+    "Weights",
     "IdentityResidualSample",
+    "WindowEntry",
     "weight_g",
     "weight_w",
     "weight_g1",
@@ -28,6 +31,8 @@ __all__ = [
     "weight_derivative_bounds",
     "functional_J2",
     "functional_J3",
+    "window_entry",
+    "window_residuals",
     "identity_residual_prop2",
     "identity_residual_prop3",
     "identity_residual_combined",
@@ -131,7 +136,7 @@ class VirialConfig:
         return t**self.r1
 
 
-class _Weights:
+class Weights:
     """Weight product w(x/l1)*g(x/l2) and every derived array the identity
     pieces and the accumulators need, at a fixed time.  sech and tanh are
     evaluated once per argument; each table is the expression of
@@ -170,21 +175,21 @@ def _check_time(t: float) -> None:
 
 def functional_J2(
     state: SystemState, config: VirialConfig, params: ModelParams | None = None,
-    weights: _Weights | None = None,
+    weights: Weights | None = None,
 ) -> float:
     """J2 = (theta2/eta) int v^2 w(x/l1) g(x/l2) dx; always >= 0.  ``weights``
     may pass the weights already built at ``state.time``."""
     _check_time(state.time)
-    wt = weights if weights is not None else _Weights(state.grid, config, state.time)
+    wt = weights if weights is not None else Weights(state.grid, config, state.time)
     return config.theta2 / wt.eta * integrate(state.v.abs_sq * wt.wg, state.grid)
 
 
 def functional_J3(
-    state: SystemState, config: VirialConfig, params: ModelParams, weights: _Weights | None = None
+    state: SystemState, config: VirialConfig, params: ModelParams, weights: Weights | None = None
 ) -> float:
     """J3 = (theta3/eta) int Im(u * conj(u_x)) w(x/l1) g(x/l2) dx."""
     _check_time(state.time)
-    wt = weights if weights is not None else _Weights(state.grid, config, state.time)
+    wt = weights if weights is not None else Weights(state.grid, config, state.time)
     dens = np.imag(state.u.times_conj_dx)
     return config.theta3_value(params) / wt.eta * integrate(dens * wt.wg, state.grid)
 
@@ -218,18 +223,7 @@ def _window_times(states: list) -> float:
     return h
 
 
-def _window_dt(states: list[SystemState], config: VirialConfig, params: ModelParams,
-               *functionals):
-    """Spacing of a 5-snapshot window, the weights at its centre and d/dt of
-    each functional there; the weights are built once per member."""
-    h = _window_times(states)
-    weights = [_Weights(s.grid, config, s.time) for s in states]
-    dts = [_dt4([f(s, config, params, weights=w) for s, w in zip(states, weights)], h)
-           for f in functionals]
-    return h, weights[2], *dts
-
-
-def _j2_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt: _Weights):
+def _j2_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt: Weights):
     """(J2_int, lhs, cubic, mixed) of the Prop2 identity at ``state.time``."""
     grid = state.grid
     t = state.time
@@ -259,28 +253,7 @@ def _j2_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt
     return j21 + j22 + j23 + j24, lhs, cubic, mixed
 
 
-def _prop2_sample(time: float, h: float, pieces, dj2: float) -> IdentityResidualSample:
-    """Prop2 residual at a window centre from its ``_j2_pieces`` and dJ2/dt."""
-    j2_int, lhs, cubic, mixed = pieces
-    rhs = -dj2 + j2_int + cubic - mixed
-    return IdentityResidualSample(time, lhs, rhs, lhs - rhs, h)
-
-
-def identity_residual_prop2(
-    states: list[SystemState], config: VirialConfig, params: ModelParams
-) -> IdentityResidualSample:
-    """Residual of the v-functional identity
-
-        (3 theta2/t) int v_x^2 w' g = -dJ2/dt + J2_int
-            + (2 theta2/t) int (v^3/3 - gamma |u|^2 v) w' g
-            - (2 theta2 gamma/eta) int |u|^2 v_x w g
-
-    evaluated at the center of a 5-snapshot window (t >= 2)."""
-    h, wt, dj2 = _window_dt(states, config, params, functional_J2)
-    return _prop2_sample(states[2].time, h, _j2_pieces(states[2], config, params, wt), dj2)
-
-
-def _j3_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt: _Weights):
+def _j3_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt: Weights):
     """(J3_int, grad_term, quartic_term, mixed) of the Prop3 identity at
     ``state.time``."""
     grid = state.grid
@@ -308,12 +281,60 @@ def _j3_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt
     return j31 + j321 + j322 + j323, grad_term, quartic_term, mixed
 
 
-def _prop3_sample(time: float, h: float, pieces, dj3: float) -> IdentityResidualSample:
-    """Prop3 residual at a window centre from its ``_j3_pieces`` and dJ3/dt."""
-    j3_int, grad_term, quartic_term, mixed = pieces
-    lhs = grad_term + quartic_term
-    rhs = -dj3 + j3_int + mixed
-    return IdentityResidualSample(time, lhs, rhs, lhs - rhs, h)
+class WindowEntry(NamedTuple):
+    """What a residual window keeps of one snapshot: its time, J2 and J3
+    (nan at t = 0) and, from t = 2 on, the identity pieces at that time."""
+
+    time: float
+    j2: float
+    j3: float
+    pieces: tuple | None  # (_j2_pieces, _j3_pieces) at t >= 2, else None
+
+
+def window_entry(
+    state: SystemState, config: VirialConfig, params: ModelParams, weights: Weights | None = None
+) -> WindowEntry:
+    """The WindowEntry of ``state``; ``weights`` may pass the weights already
+    built at ``state.time``."""
+    if state.time <= 0:
+        return WindowEntry(state.time, np.nan, np.nan, None)
+    wt = weights if weights is not None else Weights(state.grid, config, state.time)
+    j2 = functional_J2(state, config, params, weights=wt)
+    j3 = functional_J3(state, config, params, weights=wt)
+    pieces = None
+    if state.time >= 2:
+        pieces = (_j2_pieces(state, config, params, wt), _j3_pieces(state, config, params, wt))
+    return WindowEntry(state.time, j2, j3, pieces)
+
+
+def window_residuals(window) -> tuple[IdentityResidualSample, IdentityResidualSample]:
+    """Prop2 and Prop3 residuals at the centre of a window of 5 WindowEntry;
+    a ValueError unless they are evenly spaced and centred at t >= 2."""
+    h = _window_times(window)
+    t = window[2].time
+    (j2_int, lhs2, cubic, mixed2), (j3_int, grad, quartic, mixed3) = window[2].pieces
+    rhs2 = -_dt4([e.j2 for e in window], h) + j2_int + cubic - mixed2
+    lhs3, rhs3 = grad + quartic, -_dt4([e.j3 for e in window], h) + j3_int + mixed3
+    return (IdentityResidualSample(t, lhs2, rhs2, lhs2 - rhs2, h),
+            IdentityResidualSample(t, lhs3, rhs3, lhs3 - rhs3, h))
+
+
+def _state_window(states: list[SystemState], config: VirialConfig, params: ModelParams):
+    """``window_residuals`` of a window of 5 states."""
+    return window_residuals([window_entry(s, config, params) for s in states])
+
+
+def identity_residual_prop2(
+    states: list[SystemState], config: VirialConfig, params: ModelParams
+) -> IdentityResidualSample:
+    """Residual of the v-functional identity
+
+        (3 theta2/t) int v_x^2 w' g = -dJ2/dt + J2_int
+            + (2 theta2/t) int (v^3/3 - gamma |u|^2 v) w' g
+            - (2 theta2 gamma/eta) int |u|^2 v_x w g
+
+    evaluated at the center of a 5-snapshot window (t >= 2)."""
+    return _state_window(states, config, params)[0]
 
 
 def identity_residual_prop3(
@@ -324,8 +345,7 @@ def identity_residual_prop3(
         (2 theta3/t) int |u_x|^2 w' g + (beta theta3/2t) int |u|^4 w' g
             = -dJ3/dt + J3_int + (theta3 alpha/eta) int |u|^2 v_x w g
     """
-    h, wt, dj3 = _window_dt(states, config, params, functional_J3)
-    return _prop3_sample(states[2].time, h, _j3_pieces(states[2], config, params, wt), dj3)
+    return _state_window(states, config, params)[1]
 
 
 @dataclass(frozen=True)
@@ -345,10 +365,7 @@ def identity_residual_combined(
         raise ValueError("the combined identity requires theta3='auto'")
     th3 = config.theta3_value(params)
     coeff = -2.0 * config.theta2 * params.gamma + th3 * params.alpha
-    h, wt, dj2, dj3 = _window_dt(states, config, params, functional_J2, functional_J3)
-    center = states[2]
-    r2 = _prop2_sample(center.time, h, _j2_pieces(center, config, params, wt), dj2)
-    r3 = _prop3_sample(center.time, h, _j3_pieces(center, config, params, wt), dj3)
+    r2, r3 = _state_window(states, config, params)
     sample = IdentityResidualSample(
         time=r2.time,
         lhs=r2.lhs + r3.lhs,

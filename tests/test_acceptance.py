@@ -10,37 +10,20 @@ import pytest
 
 from skdv.conservation import (
     c_alpha_beta_gamma,
-    energy,
     estimate_gn_constant,
     mass,
     phi_of_norms,
     phi_smallness,
-    q_momentum,
 )
-from skdv.decay import (
-    ACCUMULATOR_TAGS,
-    WindowSpec,
-    make_accumulators,
-    smallness_gate_check,
-    weighted_accumulator_step,
-    windowed_energy,
-)
+from skdv.decay import ACCUMULATOR_TAGS, WindowSpec, smallness_gate_check
+from skdv.experiments import analytic_errors, decay_scan, drift_halving, identity_window
 from skdv.integrator import StepperConfig, run
-from skdv.model import (
-    InitialData,
-    ModelParams,
-    SystemState,
-    kdv_soliton_profile,
-    make_initial_data,
-)
+from skdv.model import InitialData, ModelParams, SystemState, make_initial_data
 from skdv.momentum import drift_check, moment_sample, predicted_slope
 from skdv.spectral import ComplexField, RealField, SpectralGrid, h1_norm, integrate, l2_norm
 from skdv.virial import (
     VirialConfig,
     check_key_identities,
-    identity_residual_combined,
-    identity_residual_prop2,
-    identity_residual_prop3,
     weight_derivative_bounds,
     weight_g,
     weight_w,
@@ -51,23 +34,6 @@ def _verdict(num, label, ok):
     line = f"[criterion {num:02d}] {label}: {'PASS' if ok else 'FAIL'}"
     print(line)
     assert ok, line
-
-
-def _last_window(state0, params, dt, t_center, scheme="strang"):
-    """Run to t_center + 2*dt keeping the last five per-step states, so the
-    five-point stencil is centered at t_center."""
-    n_center = int(round(t_center / dt))
-    stepper = StepperConfig(dt=dt, t_end=(n_center + 2) * dt, scheme=scheme,
-                            snapshot_stride=10**9)
-    window = []
-
-    def keep(s):
-        window.append(s)
-        if len(window) > 5:
-            window.pop(0)
-
-    run(state0, stepper, params, per_step=keep, keep_snapshots=False)
-    return window
 
 
 class TestAcceptance:
@@ -96,45 +62,15 @@ class TestAcceptance:
         state0 = make_initial_data(
             InitialData(family="gaussian", amplitude_u=0.5, amplitude_v=0.5,
                         width_u=2.0, width_v=2.0), grid)
-        q0 = q_momentum(state0, params)
-        e0 = energy(state0, params)
-        drifts = []
-        for dt in (4e-3, 2e-3, 1e-3):
-            res = run(state0, StepperConfig(dt=dt, t_end=5.0, snapshot_stride=10**9),
-                      params, keep_snapshots=False)
-            drifts.append((abs(q_momentum(res.final_state, params) - q0),
-                           abs(energy(res.final_state, params) - e0)))
-        ratios = [(drifts[j - 1][0] / drifts[j][0], drifts[j - 1][1] / drifts[j][1])
+        drifts = drift_halving(state0, params, (4e-3, 2e-3, 1e-3), 5.0)
+        ratios = [(drifts[j - 1][1] / drifts[j][1], drifts[j - 1][2] / drifts[j][2])
                   for j in (1, 2)]
         ok = all(rq >= 3.5 and re >= 3.5 for rq, re in ratios)
         _verdict(2, "Q/E drift halving ratios "
                     + ", ".join(f"({rq:.2f}, {re:.2f})" for rq, re in ratios), ok)
 
     def test_criterion_03_analytic_solutions(self):
-        grid = SpectralGrid(1024, 64.0)
-        x = grid.x
-        free = ModelParams(0.0, 0.0, 0.0)
-
-        u0 = np.exp(-(x**2)).astype(complex)
-        state = SystemState(ComplexField(grid, u0),
-                            RealField(grid, np.zeros_like(x)), 0.0)
-        res = run(state, StepperConfig(dt=1e-3, t_end=1.0, snapshot_stride=10**9),
-                  free, keep_snapshots=False)
-        sigma = 1.0 + 4.0j
-        exact_u = np.exp(-(x**2) / sigma) / np.sqrt(sigma)
-        err_u = float(np.sqrt(grid.spacing
-                              * np.sum(np.abs(res.final_state.u.samples - exact_u) ** 2)))
-
-        v0 = kdv_soliton_profile(x, 1.0)
-        state = SystemState(ComplexField(grid, np.zeros_like(x, dtype=complex)),
-                            RealField(grid, v0), 0.0)
-        res = run(state, StepperConfig(dt=5e-4, t_end=5.0, snapshot_stride=10**9),
-                  free, keep_snapshots=False)
-        shift = int(round(5.0 / grid.spacing))
-        exact_v = np.roll(v0, shift)
-        err_v = float(np.sqrt(grid.spacing
-                              * np.sum((res.final_state.v.samples - exact_v) ** 2)))
-
+        err_u, err_v = analytic_errors(SpectralGrid(1024, 64.0))
         ok = err_u < 1e-9 and err_v < 1e-3
         _verdict(3, f"analytic solutions (dispersive {err_u:.2e}, soliton {err_v:.2e})", ok)
 
@@ -166,53 +102,34 @@ class TestAcceptance:
     def test_criterion_06_virial_identity_residuals(self):
         grid = SpectralGrid(512, 32.0)
         params = ModelParams(1.0, 1.0, 1.0)
-        cfg = VirialConfig()
         state0 = make_initial_data(
             InitialData(family="modulated_gaussian", amplitude_u=0.5, amplitude_v=0.4,
                         width_u=2.0, width_v=2.0, carrier=0.5), grid)
-        dts = (2e-3, 1e-3, 5e-4)
-        rows = []
-        for dt in dts:
-            window = _last_window(state0, params, dt, 3.0)
-            r2 = abs(identity_residual_prop2(window, cfg, params).residual)
-            r3 = abs(identity_residual_prop3(window, cfg, params).residual)
-            combined = identity_residual_combined(window, cfg, params)
-            rows.append((r2, r3, abs(combined.sample.residual),
-                         combined.coefficient_sum))
-        orders = [min(np.log2(rows[j - 1][k] / rows[j][k]) for k in (0, 1, 2))
+        # rows (dt, |res_prop2|, |res_prop3|, |res_combined|, coefficient sum)
+        rows = identity_window(state0, params, VirialConfig(), (2e-3, 1e-3, 5e-4), 3.0)
+        orders = [min(np.log2(rows[j - 1][k] / rows[j][k]) for k in (1, 2, 3))
                   for j in (1, 2)]
-        ok = all(o >= 1.9 for o in orders) and rows[-1][3] == 0.0
+        ok = all(o >= 1.9 for o in orders) and rows[-1][4] == 0.0
         _verdict(6, f"virial residual orders {orders[0]:.2f}, {orders[1]:.2f}; "
-                    f"cancellation coefficient {rows[-1][3]:.1e}", ok)
+                    f"cancellation coefficient {rows[-1][4]:.1e}", ok)
 
     def test_criterion_07_finite_horizon_decay(self):
         grid = SpectralGrid(8192, 1024.0)
         params = ModelParams(1.0, 1.0, 1.0)
-        cfg = VirialConfig()
-        window = WindowSpec(exponent=0.5)
         state0 = make_initial_data(
             InitialData(family="modulated_gaussian", amplitude_u=0.25, amplitude_v=0.0,
                         width_u=1.0, carrier=0.75), grid)
-        accumulators = make_accumulators()
-        times, mixed, gradv, acc_series = [], [], [], []
+        scan = decay_scan(state0, StepperConfig(dt=0.01, t_end=200.0, snapshot_stride=100),
+                          params, WindowSpec(exponent=0.5), VirialConfig(), 0.5)
+        acc_series = scan.acc_rows  # one row per snapshot with t >= 2
 
-        def on_snapshot(s):
-            if s.time < 2.0:
-                return
-            times.append(s.time)
-            mixed.append(windowed_energy(s, window, "mixed", params).value)
-            gradv.append(windowed_energy(s, window, "grad_v", params).value)
-            weighted_accumulator_step(s, cfg, params, accumulators)
-            acc_series.append({tag: accumulators[tag].value for tag in ACCUMULATOR_TAGS})
-
-        run(state0, StepperConfig(dt=0.01, t_end=200.0, snapshot_stride=100),
-            params, on_snapshot=on_snapshot, keep_snapshots=False)
-
-        t = np.array(times)
+        t = np.array(scan.times)
+        late = t >= 2.0
+        t = t[late]
         blocks = np.floor(np.log2(t)).astype(int)  # dyadic blocks [2^j, 2^{j+1})
         labels = sorted(set(blocks))
         ratios = []
-        for vals in (np.array(mixed), np.array(gradv)):
+        for vals in (np.array(scan.mixed)[late], np.array(scan.grad_v)[late]):
             minima = [vals[blocks == j].min() for j in labels]
             ratios.append(minima[0] / minima[-1])
         decay_ok = all(r >= 10.0 for r in ratios)

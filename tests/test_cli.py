@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from skdv import cli, conservation, decay, momentum, virial
+from skdv import cli, conservation, decay, experiments, momentum, virial
 from skdv.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -131,6 +131,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
 
+    @pytest.mark.parametrize("family, keys", [
+        ("gaussian", "carrier = 3.0"),  # read only by modulated_gaussian
+        ("gaussian", "speed = 7.0"),  # read only by kdv_soliton
+        ("kdv_soliton", "amplitude_u = 0.2"),
+        ("zero", "width_v = 2.0"),
+        ("sum", ""),  # needs component specs, which an INI cannot give
+        ("custom", ""),  # needs sample arrays
+        ("nope", ""),
+    ], ids=["gaussian-carrier", "gaussian-speed", "kdv_soliton-amplitude_u", "zero-width_v",
+            "sum", "custom", "unknown"])
+    def test_initial_keys_the_family_reads(self, tmp_path, family, keys):
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "family = gaussian\namplitude_u = 0.2\namplitude_v = 0.2",
+            f"family = {family}\n{keys}")
+        path, _ = _write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=r"\[initial\] family"):
+            load_config(path)
+
     def test_seed_key_rejected(self, tmp_path):
         # nothing in a run is random, so a seed would be parsed and ignored
         text = BASE_CONFIG.format(out=tmp_path / "out") + "seed = 3\n"
@@ -153,8 +171,9 @@ class TestRunCommand:
             assert len(lines) == 2 + 3
 
     def test_zero_data_rows(self, tmp_path):
+        # the zero family reads no amplitude, so the config sets none
         text = BASE_CONFIG.format(out=tmp_path / "out").replace(
-            "family = gaussian", "family = zero"
+            "family = gaussian\namplitude_u = 0.2\namplitude_v = 0.2", "family = zero"
         )
         path, out = _write_config(tmp_path, text)
         assert main(["run", str(path)]) == EXIT_OK
@@ -386,6 +405,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "check-smallness"])
+    def test_initial_data_past_the_box(self, tmp_path, capsys, command):
+        # a u width of 5 in a box of half-length 8 leaves too much of the
+        # data at the edge: rejected before any stepping or output
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "n = 256\nl = 32.0", "n = 256\nl = 8.0"
+        ).replace("amplitude_v = 0.2", "amplitude_v = 0.2\nwidth_u = 5.0")
+        path, out = _write_config(tmp_path, text)
+        assert main([command, str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "boundary tail" in err
+        assert not out.exists()
+
     def test_check_smallness(self, tmp_path, capsys):
         text = BASE_CONFIG.format(out=tmp_path / "out").replace(
             "beta = 0.0", "beta = -0.001"
@@ -396,3 +428,67 @@ class TestExitCodes:
         assert main(["check-smallness", str(path)]) == EXIT_OK
         captured = capsys.readouterr().out
         assert "criterion satisfied" in captured
+
+
+class TestExperimentOutput:
+    """Each subcommand prints what its experiment in skdv.experiments
+    returns, formatted and nothing else."""
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        returned = []
+        original = getattr(experiments, name)
+
+        def spy(*args, **kwargs):
+            returned.append(original(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(experiments, name, spy)
+        return returned
+
+    def test_verify_identities(self, tmp_path, capsys, monkeypatch):
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "n = 256\nl = 32.0", "n = 64\nl = 16.0")
+        path, _ = _write_config(tmp_path, text)
+        returned = self._spy(monkeypatch, "identity_window")
+        assert main(["verify-identities", str(path)]) == EXIT_OK
+        [rows] = returned
+        assert [r[0] for r in rows] == [2e-3, 1e-3, 5e-4]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:4] == [f"{dt:>10.1e} {a:>14.6e} {b:>14.6e} {c:>15.6e}"
+                              for dt, a, b, c, _ in rows]
+        assert lines[-1] == f"cancellation coefficient: {rows[-1][4]:.3e}"
+        assert len(lines) == 8
+
+    def test_scan_decay(self, tmp_path, capsys, monkeypatch):
+        # snapshots every 0.1 to t = 2.2: the accumulators run from t = 2
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "dt = 0.01\nt_end = 0.1\nsnapshot_stride = 5",
+            "dt = 0.05\nt_end = 2.2\nsnapshot_stride = 2")
+        path, _ = _write_config(tmp_path, text)
+        returned = self._spy(monkeypatch, "decay_scan")
+        assert main(["scan-decay", str(path)]) == EXIT_OK
+        [scan] = returned
+        assert len(scan.times) == 22 and len(scan.acc_rows) == 3
+        assert scan.accumulators["mixed_kdv"].value > 0
+        lines = capsys.readouterr().out.splitlines()
+        for line, vals in zip(lines, (scan.mixed, scan.grad_v)):
+            report = decay.liminf_tracker(scan.times, vals)
+            assert f"running min {report.running_min:.6e}," in line
+        assert lines[2:] == [f"accumulator {tag}: {scan.accumulators[tag].value:.6e}"
+                             for tag in decay.ACCUMULATOR_TAGS]
+
+    def test_convergence(self, tmp_path, capsys, monkeypatch):
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "n = 256\nl = 32.0", "n = 64\nl = 16.0")
+        path, _ = _write_config(tmp_path, text)
+        errors = self._spy(monkeypatch, "analytic_errors")
+        drifts = self._spy(monkeypatch, "drift_halving")
+        assert main(["convergence", str(path)]) == EXIT_OK
+        [(err_u, err_v)], [rows] = errors, drifts
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"free-Schrodinger L2 error at t=1: {err_u:.3e}",
+                             f"KdV soliton L2 shape error at t=5: {err_v:.3e}"]
+        assert [r[0] for r in rows] == [4e-3, 2e-3, 1e-3]
+        assert lines[3:6] == [f"{dt:>10.1e} {dq:>14.6e} {de:>14.6e}" for dt, dq, de in rows]
+        assert len(lines) == 8

@@ -20,7 +20,7 @@ from skdv.decay import (
 )
 from skdv.model import InitialData, ModelParams, SystemState, make_initial_data
 from skdv.spectral import ComplexField, RealField, SpectralGrid
-from skdv.virial import VirialConfig, _Weights
+from skdv.virial import VirialConfig, Weights
 
 
 @pytest.fixture
@@ -204,7 +204,7 @@ class TestAccumulators:
             s = _at_time(state, t)
             weighted_accumulator_step(s, cfg, params, plain, 0.5)
             weighted_accumulator_step(_at_time(state, t), cfg, params, shared, 0.5,
-                                      weights=_Weights(grid, cfg, t))
+                                      weights=Weights(grid, cfg, t))
         for tag in ACCUMULATOR_TAGS:
             assert (shared[tag].value, shared[tag].last_integrand) == (
                 plain[tag].value, plain[tag].last_integrand), tag

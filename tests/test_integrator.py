@@ -100,14 +100,6 @@ class TestRun:
             errs[scheme] = np.max(np.abs(out.u.samples - ref.u.samples))
         assert errs["strang"] < errs["lie"] / 5
 
-    def test_h1_guard_raises(self, grid):
-        state = make_initial_data(
-            InitialData(family="gaussian", amplitude_u=0.5, amplitude_v=0.5), grid
-        )
-        cfg = StepperConfig(dt=1e-3, t_end=0.1, h1_cap=1e-6)
-        with pytest.raises(BlowUpError):
-            run(state, cfg, ModelParams(1.0, 1.0, 1.0))
-
     def test_blowup_on_overflow(self):
         # huge focusing data on a coarse grid with a large step overflows
         grid = SpectralGrid(64, 8.0)
@@ -210,6 +202,20 @@ class TestWorkArrays:
         for i, (t, a) in enumerate(arrays):
             for t_b, b in arrays[i + 1 :]:
                 assert t_b == t or not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("scheme", ["strang", "lie"])
+    def test_v_is_a_real_array_of_its_own(self, state0, scheme):
+        # v of each state is a contiguous float64 array, not the real view
+        # of a complex buffer, and holds the bits of the literal stepper
+        dt = 5e-3
+        cfg = StepperConfig(dt=dt, t_end=20 * dt, scheme=scheme, snapshot_stride=7)
+        res = run(state0, cfg, self.PARAMS)
+        for s in res.snapshots[1:]:
+            v = s.v.samples
+            assert v.dtype == np.float64 and v.flags.c_contiguous
+            assert v.base is None or v.base.dtype == np.float64
+        _, v = literal_run(state0, dt, 20, scheme, self.PARAMS)
+        assert res.final_state.v.samples.tobytes() == v.tobytes()
 
     @pytest.mark.parametrize("scheme, calls", [("strang", 38), ("lie", 34)])
     def test_fft_calls_per_step(self, state0, monkeypatch, scheme, calls):

@@ -8,7 +8,7 @@ from skdv.model import InitialData, ModelParams, SystemState, make_initial_data
 from skdv.spectral import ComplexField, RealField, SpectralGrid
 from skdv.virial import (
     VirialConfig,
-    _Weights,
+    Weights,
     _window_times,
     check_key_identities,
     functional_J2,
@@ -113,11 +113,11 @@ class TestFunctionals:
 class TestWeightTables:
     @pytest.mark.parametrize("t", [0.5, 2.0, 3.7, 150.0])
     def test_tables_match_weight_functions(self, t):
-        # sech and tanh are shared within _Weights; every table must equal
+        # sech and tanh are shared within Weights; every table must equal
         # the public weight functions of the same arguments bit for bit
         grid = SpectralGrid(512, 64.0)
         cfg = VirialConfig()
-        wt = _Weights(grid, cfg, t)
+        wt = Weights(grid, cfg, t)
         x1, x2 = grid.x / cfg.lambda1(t), grid.x / cfg.lambda2(t)
         l1, l2 = cfg.lambda1(t), cfg.lambda2(t)
         expected = {
