@@ -9,7 +9,7 @@ quadratic and cubic nonlinearities are alias-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -175,12 +175,44 @@ def derivative_samples(grid: SpectralGrid, samples: np.ndarray, order: int) -> n
     return np.fft.ifft(np.fft.fft(samples) * grid.derivative_multiplier(order))
 
 
+# numpy.fft allocates a scratch array, 16 bytes a point, on every call.
+# Under glibc's default allocator a 16 384-point complex transform faults
+# in 96 fresh pages per call and an 8 192-point one none (ru_minflt over
+# repeated calls), so grids whose 2N-point products reach 16 384 points
+# keep that scratch resident.
+_RESIDENT_SCRATCH_MIN_N = 8192
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@cache
+def _keep_fft_scratch_resident() -> None:
+    """Once per process, set glibc's mmap threshold to 32 MiB and its trim
+    threshold to 64 MiB (where glibc's own dynamic threshold stops), so the
+    FFT scratch of each transform reuses resident heap pages instead of
+    faulting in fresh ones.  The setting holds for every later allocation
+    of the process and switches the dynamic threshold off: freed blocks of
+    up to 32 MiB, and up to 64 MiB of free heap top, stay resident instead
+    of going back to the system.  A no-op where libc has no ``mallopt``."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _product_work(grid: SpectralGrid):
     """The work arrays of ``dealiased_product_samples`` on ``grid``, built on
     first use: the 2N padded spectrum, whose middle is zero and never
     written, and the 2N fine buffers, at most three, added as a product
-    needs them."""
+    needs them.  A grid with N >= 8192 first makes the FFT scratch stay
+    resident."""
     if grid._product_work is None:
+        if grid.num_points >= _RESIDENT_SCRATCH_MIN_N:
+            _keep_fft_scratch_resident()
         grid._product_work = (np.zeros(2 * grid.num_points, np.complex128), [])
     return grid._product_work
 

@@ -169,18 +169,28 @@ class TestWorkArrays:
 
     PARAMS = ModelParams(1.0, 0.7, 1.3)
 
-    @pytest.fixture
-    def state0(self, grid):
+    @staticmethod
+    def _state0(grid):
         return make_initial_data(
             InitialData(family="modulated_gaussian", amplitude_u=0.6, amplitude_v=0.5,
                         width_u=2.0, width_v=1.5, carrier=0.75), grid)
 
-    @pytest.mark.parametrize("scheme", ["strang", "lie"])
-    def test_matches_literal_stepper(self, state0, scheme):
+    @pytest.fixture
+    def state0(self, grid):
+        return self._state0(grid)
+
+    @pytest.mark.parametrize("scheme, n, steps", [
+        pytest.param("strang", 256, 200, id="strang"),
+        pytest.param("lie", 256, 200, id="lie"),
+        pytest.param("strang", 8192, 3, id="strang-8192"),
+        pytest.param("lie", 8192, 3, id="lie-8192"),
+    ])
+    def test_matches_literal_stepper(self, scheme, n, steps):
+        state0 = self._state0(SpectralGrid(n, n / 8.0))
         dt = 5e-3
-        cfg = StepperConfig(dt=dt, t_end=200 * dt, scheme=scheme, snapshot_stride=10**9)
+        cfg = StepperConfig(dt=dt, t_end=steps * dt, scheme=scheme, snapshot_stride=10**9)
         out = run(state0, cfg, self.PARAMS, keep_snapshots=False).final_state
-        u, v = literal_run(state0, dt, 200, scheme, self.PARAMS)
+        u, v = literal_run(state0, dt, steps, scheme, self.PARAMS)
         assert out.u.samples.tobytes() == u.tobytes()
         assert out.v.samples.tobytes() == v.tobytes()
 

@@ -1,8 +1,16 @@
 """Tests for grids, fields, spectral derivatives and dealiased products."""
 
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import skdv
 from skdv.spectral import (
     ComplexField,
     RealField,
@@ -48,8 +56,29 @@ def downsample(fine_samples, n):
 def literal_product(grid, factors):
     fine = np.ones(2 * grid.num_points, dtype=np.complex128)
     for f in factors:
-        fine = fine * upsample(grid, f, 2)
+        # np.multiply, not ``fine * upsample(...)``: from 256 KiB on, numpy
+        # elides the temporary into ``up *= fine``, which swaps the operands,
+        # and a complex multiply with FMA is not bitwise commutative
+        fine = np.multiply(fine, upsample(grid, f, 2))
     return downsample(fine, grid.num_points)
+
+
+def convolution_product(factors):
+    """The dealiased product by direct O(N^2) convolution of the factors'
+    Fourier coefficients on the modes -N/2..N/2 (the Nyquist coefficient
+    split between the two ends), wrapped onto the 2N grid and truncated to
+    N modes, the two Nyquist ends summed."""
+    n = factors[0].shape[0]
+    half = n // 2
+    coeffs = np.ones(1, dtype=np.complex128)
+    for f in factors:
+        hat = np.fft.fft(f) / n
+        nyquist = 0.5 * hat[half : half + 1]
+        coeffs = np.convolve(coeffs, np.concatenate([nyquist, hat[half + 1 :], hat[:half], nyquist]))
+    fine = np.zeros(2 * n, dtype=np.complex128)
+    np.add.at(fine, (np.arange(coeffs.size) - len(factors) * half) % (2 * n), coeffs)
+    hat = np.concatenate([fine[:half], [fine[half] + fine[2 * n - half]], fine[2 * n - half + 1 :]])
+    return np.fft.ifft(hat * n)
 
 
 class TestSpectralGrid:
@@ -250,16 +279,18 @@ class TestDealiasedProduct:
         cubic = [u, u, np.conj(u)]
         assert np.all(dealiased_product_samples(grid, cubic) == literal_product(grid, cubic))
 
-    @pytest.mark.parametrize("case", ["real_2", "complex_2", "mixed_2", "real_3",
-                                      "complex_3", "repeated_2", "repeated_3",
-                                      "first_last", "last_two", "all_three"])
-    def test_matches_literal_formula(self, case):
+    CASES = ["real_2", "complex_2", "mixed_2", "real_3", "complex_3", "repeated_2",
+             "repeated_3", "first_last", "last_two", "all_three"]
+
+    @pytest.mark.parametrize("case, n", [pytest.param(c, 128, id=c) for c in CASES]
+                             + [pytest.param(c, 8192, id=f"{c}-8192") for c in CASES])
+    def test_matches_literal_formula(self, case, n):
         # the product, bit for bit, as written with a ones seed that every
         # upsampled factor multiplies
-        grid = SpectralGrid(128, 8.0)
+        grid = SpectralGrid(n, 8.0)
         rng = np.random.default_rng(5)
-        a, b, c = (rng.standard_normal(128) for _ in range(3))
-        z, y = (rng.standard_normal(128) + 1j * rng.standard_normal(128) for _ in range(2))
+        a, b, c = (rng.standard_normal(n) for _ in range(3))
+        z, y = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
         factors = {
             "real_2": [a, b], "complex_2": [z, y], "mixed_2": [a, z],
             "real_3": [a, b, c], "complex_3": [z, y, np.conj(z)],
@@ -304,6 +335,55 @@ class TestDealiasedProduct:
                 interleaved[i].append(dealiased_product_samples(g, fs[:k]))
         for got, want in zip(interleaved, separate):
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([64, 256, 8192]), seed=st.integers(0, 2**32 - 1),
+           picks=st.lists(st.integers(0, 4), min_size=2, max_size=3))
+    def test_random_factor_lists(self, n, seed, picks):
+        # picks 0 and 1 draw a fresh real or complex factor, 2 to 4 repeat
+        # an earlier factor object (a fresh real one if there is none yet)
+        rng = np.random.default_rng(seed)
+        factors = []
+        for p in picks:
+            if p < 2 or not factors:
+                f = rng.standard_normal(n)
+                factors.append(f + 1j * rng.standard_normal(n) if p == 1 else f)
+            else:
+                factors.append(factors[p % len(factors)])
+        got = dealiased_product_samples(SpectralGrid(n, 8.0), factors)
+        assert got.tobytes() == literal_product(SpectralGrid(n, 8.0), factors).tobytes()
+        scale = np.prod([np.max(np.abs(f)) for f in factors])
+        assert np.max(np.abs(got - convolution_product(factors))) < 1e-14 * scale
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the FFT scratch is kept resident through glibc's mallopt")
+    def test_fft_scratch_stays_resident(self):
+        # a product on a grid with N >= 8192 keeps the FFT scratch
+        # resident for every later transform of the process; under glibc's
+        # default allocator each 16 384-point transform faults in 96 fresh
+        # pages.  A fresh process, because the heap history of this one
+        # decides whether the scratch is trimmed.
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from skdv.spectral import SpectralGrid, dealiased_product_samples
+            rng = np.random.default_rng(9)
+            dealiased_product_samples(SpectralGrid(8192, 1024.0),
+                                      [rng.standard_normal(8192), rng.standard_normal(8192)])
+            x = rng.standard_normal(16384) + 0j
+            y = np.empty_like(x)
+            np.fft.fft(x, out=y)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(20):
+                np.fft.fft(x, out=y)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        src = os.path.dirname(os.path.dirname(skdv.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert int(out) < 20
 
 
 class TestResampling:
