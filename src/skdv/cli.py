@@ -76,9 +76,7 @@ def _get(parser, section, key, cast, default):
     if parser.has_option(section, key):
         raw = parser.get(section, key)
         try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
-            return cast(raw)
+            return parser.getboolean(section, key) if cast is bool else cast(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
     return default
@@ -202,9 +200,10 @@ def _checked(fn, *args):
 
 
 def _initial_state(cfg: RunConfig) -> SystemState:
-    """The configured initial state.  Data with a boundary tail above 1e-6,
-    or a nonpositive width or soliton speed, is a config error."""
-    return _checked(make_initial_data, cfg.initial, cfg.grid, 1e-6)
+    """The configured initial state.  Data with a boundary tail above
+    decay.BOUNDARY_TOLERANCE, or a nonpositive width or soliton speed, is a
+    config error."""
+    return _checked(make_initial_data, cfg.initial, cfg.grid, decay.BOUNDARY_TOLERANCE)
 
 
 def _cmd_run(cfg: RunConfig) -> int:
@@ -296,7 +295,7 @@ def _cmd_run(cfg: RunConfig) -> int:
         w_m.writerow(map(_fmt, [s.time, ms.b_moment, ms.u_moment,
                                 ms.f_moment, ms.predicted_slope_f]))
 
-        boundary_hit = boundary_hit or bmass > 1e-6
+        boundary_hit = boundary_hit or bmass > decay.BOUNDARY_TOLERANCE
         if flags_row is not None:
             w_f.writerow(map(_fmt, flags_row))
         flags_row = [s.time, bmass, False, clipped]

@@ -17,13 +17,16 @@ import numpy as np
 from .conservation import SmallnessReport
 from .model import ModelParams, SystemState
 from .spectral import integrate
-from .virial import VirialConfig, Weights, weight_g
+from .virial import VirialConfig, Weights
 
 __all__ = [
     "WindowSpec",
     "WindowedEnergy",
     "AccumulatorState",
     "ACCUMULATOR_TAGS",
+    "BOUNDARY_TOLERANCE",
+    "DECAY_FACTOR",
+    "GATE_TOLERANCE",
     "windowed_energy",
     "liminf_tracker",
     "LiminfReport",
@@ -36,6 +39,15 @@ __all__ = [
     "equivalence_bound_check",
     "BoundChainReport",
 ]
+
+# the largest boundary_mass that counts as clear of the box edge: initial
+# data above it is a config error, and a run that exceeds it is flagged
+BOUNDARY_TOLERANCE = 1e-6
+# liminf_tracker calls a series decayed when its last dyadic-block minimum
+# is this factor below the first
+DECAY_FACTOR = 10.0
+# round-off allowance of smallness_gate_check's pointwise lower bound
+GATE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -121,17 +133,14 @@ class LiminfReport:
     block_minima: list
     loglog_slope: float
     decayed: bool
-    decay_factor: float
 
 
-def liminf_tracker(
-    times, values, decay_factor: float = 10.0
-) -> LiminfReport:
+def liminf_tracker(times, values) -> LiminfReport:
     """Finite-horizon surrogate for a liminf statement: running minimum,
     per-dyadic-block minima over [2^j, 2^(j+1)) and their log-log trend.
 
     ``decayed`` is declared when the last block minimum is below the first
-    block minimum by at least ``decay_factor``; this is a qualitative trend
+    block minimum by at least DECAY_FACTOR; this is a qualitative trend
     check, not a proof of decay.
     """
     times = np.asarray(times, dtype=float)
@@ -163,7 +172,7 @@ def liminf_tracker(
     decayed = bool(
         len(minima) >= 2
         and minima[0] > 0
-        and minima[-1] <= minima[0] / decay_factor
+        and minima[-1] <= minima[0] / DECAY_FACTOR
     )
     return LiminfReport(
         running_min=float(np.min(values)),
@@ -171,7 +180,6 @@ def liminf_tracker(
         block_minima=minima,
         loglog_slope=slope,
         decayed=decayed,
-        decay_factor=decay_factor,
     )
 
 
@@ -242,10 +250,7 @@ def weighted_accumulator_step(
     if t < 2:
         raise ValueError(f"accumulators are defined for t >= 2, got {t}")
     grid = state.grid
-    if weights is not None:
-        weight = weights.wpg
-    else:
-        weight = weight_g(grid.x / config.lambda1(t)) * weight_g(grid.x / config.lambda2(t))
+    weight = (weights if weights is not None else Weights(grid, config, t)).wpg
     densities = _accumulator_densities(state, params, power_exponent)
     for tag, acc in accumulators.items():
         integrand = float(integrate(densities[tag] * weight, grid)) / t
@@ -258,14 +263,12 @@ def weighted_accumulator_step(
     return accumulators
 
 
-def sign_partition_measure(
-    state: SystemState, params: ModelParams, tol: float = 1e-12
-) -> tuple[float, float, float]:
+def sign_partition_measure(state: SystemState, params: ModelParams) -> tuple[float, float, float]:
     """Measures (dx-count) of the cells where v^2/2 - gamma |u|^2 is
-    positive, negative or within a scale-relative tolerance of zero."""
+    positive, negative or zero to within 1e-12 of its largest magnitude."""
     dens = 0.5 * state.v.samples**2 - params.gamma * np.abs(state.u.samples) ** 2
     scale = max(float(np.max(np.abs(dens))), 1e-300)
-    cut = tol * scale
+    cut = 1e-12 * scale
     dx = state.grid.spacing
     plus = dx * int(np.sum(dens > cut))
     minus = dx * int(np.sum(dens < -cut))
@@ -282,8 +285,7 @@ class GateReport:
 
 
 def smallness_gate_check(
-    states: list[SystemState], params: ModelParams, phi_report: SmallnessReport,
-    tolerance: float = 1e-12,
+    states: list[SystemState], params: ModelParams, phi_report: SmallnessReport
 ) -> GateReport:
     """Under the criterion -beta*Phi <= alpha*gamma (beta < 0), assert the
     pointwise lower bound alpha*gamma + v*beta/2 >= alpha*gamma/2 along the
@@ -298,7 +300,7 @@ def smallness_gate_check(
         applicable=True,
         min_value=lowest,
         threshold=0.5 * ag,
-        holds=bool(lowest >= 0.5 * ag - tolerance),
+        holds=bool(lowest >= 0.5 * ag - GATE_TOLERANCE),
     )
 
 
@@ -346,8 +348,7 @@ def equivalence_bound_check(
         raise ValueError("m and eps must be positive")
     grid = state.grid
     if config is not None and state.time > 0:
-        t = state.time
-        weight = weight_g(grid.x / config.lambda1(t)) * weight_g(grid.x / config.lambda2(t))
+        weight = Weights(grid, config, state.time).wpg
     else:
         weight = np.ones(grid.num_points)
 

@@ -36,7 +36,7 @@ def identity_window(
         n_center = int(round(t_center / dt))
         last5 = deque(maxlen=5)
         run(state0, StepperConfig(dt=dt, t_end=(n_center + 2) * dt, scheme=scheme), params,
-            per_step=last5.append, keep_snapshots=False)
+            on_snapshot=last5.append, keep_snapshots=False)
         window = list(last5)
         if vcfg.theta3 == "auto":
             rc = virial.identity_residual_combined(window, vcfg, params)

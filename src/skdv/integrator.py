@@ -170,14 +170,12 @@ def run(
     state0: SystemState,
     config: StepperConfig,
     params: ModelParams,
-    per_step=None,
     on_snapshot=None,
     keep_snapshots: bool = True,
 ) -> RunResult:
     """Advance state0 to t_end.
 
-    ``per_step(state)`` is called after every step (for accumulators);
-    ``on_snapshot(state)`` every ``snapshot_stride`` steps and at t=0.
+    ``on_snapshot(state)`` is called every ``snapshot_stride`` steps and at t=0.
     Snapshots (including the initial state) are retained unless
     ``keep_snapshots`` is False.
     """
@@ -217,8 +215,6 @@ def run(
 
         state = SystemState(ComplexField(grid, u), RealField(grid, v), t)
         result.final_state = state
-        if per_step is not None:
-            per_step(state)
         if step % config.snapshot_stride == 0 or step == n_steps:
             if keep_snapshots:
                 result.snapshots.append(state)

@@ -7,7 +7,7 @@ Schrodinger-KdV system
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,8 +66,6 @@ class InitialData:
       gaussian             u = amp_u*exp(-(x/width_u)^2), v likewise
       modulated_gaussian   gaussian u multiplied by exp(i*carrier*x)
       kdv_soliton          v = 3c*sech^2(sqrt(c)*x/2), u = 0
-      sum                  superposition of component specs
-      custom               explicit sample arrays
     """
 
     family: str = "gaussian"
@@ -77,9 +75,6 @@ class InitialData:
     width_v: float = 1.0
     carrier: float = 0.0
     speed: float = 1.0
-    components: tuple = ()
-    u_samples: np.ndarray | None = field(default=None, repr=False)
-    v_samples: np.ndarray | None = field(default=None, repr=False)
 
 
 def kdv_soliton_profile(x: np.ndarray, speed: float) -> np.ndarray:
@@ -104,17 +99,6 @@ def _build_samples(spec: InitialData, grid: SpectralGrid) -> tuple[np.ndarray, n
         return u, v
     if fam == "kdv_soliton":
         return np.zeros(grid.num_points, dtype=complex), kdv_soliton_profile(x, spec.speed)
-    if fam == "sum":
-        u = np.zeros(grid.num_points, dtype=complex)
-        v = np.zeros(grid.num_points)
-        for part in spec.components:
-            pu, pv = _build_samples(part, grid)
-            u, v = u + pu, v + pv
-        return u, v
-    if fam == "custom":
-        if spec.u_samples is None or spec.v_samples is None:
-            raise ValueError("custom family requires u_samples and v_samples")
-        return np.asarray(spec.u_samples, dtype=complex), np.asarray(spec.v_samples, dtype=float)
     raise ValueError(f"unknown initial-data family {fam!r}")
 
 

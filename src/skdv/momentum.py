@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conservation import q_momentum
-from .decay import boundary_mass
+from .decay import BOUNDARY_TOLERANCE, boundary_mass
 from .model import ModelParams, SystemState
 from .spectral import integrate, l2_norm
 
 __all__ = [
     "MomentSample",
     "DriftReport",
+    "ZERO_SLOPE_TOL",
     "predicted_slope",
     "moment_sample",
     "drift_check",
@@ -56,18 +57,14 @@ def predicted_slope(initial: SystemState, params: ModelParams) -> float:
 
 
 def moment_sample(
-    state: SystemState,
-    params: ModelParams,
-    slope: float,
-    boundary_threshold: float = 1e-6,
-    boundary: float | None = None,
+    state: SystemState, params: ModelParams, slope: float, boundary: float | None = None
 ) -> MomentSample:
     """Evaluate B, int x |u|^2 and F at one snapshot.
 
     ``slope`` is the predicted dF/dt from the initial data; the sample is
-    flagged rather than rejected when the boundary fraction exceeds the
-    threshold, since moments degrade gracefully.  ``boundary`` may pass
-    ``boundary_mass(state)`` already computed.
+    flagged rather than rejected when the boundary fraction exceeds
+    BOUNDARY_TOLERANCE, since moments degrade gracefully.  ``boundary`` may
+    pass ``boundary_mass(state)`` already computed.
     """
     if params.gamma == 0:
         raise ValueError("the F functional requires gamma != 0")
@@ -84,7 +81,7 @@ def moment_sample(
         f_moment=-(2.0 * params.alpha / params.gamma) * b + umom,
         predicted_slope_f=slope,
         v_l2_sq=l2_norm(state.v) ** 2,
-        boundary_flag=boundary > boundary_threshold,
+        boundary_flag=boundary > BOUNDARY_TOLERANCE,
     )
 
 
@@ -98,12 +95,12 @@ class DriftReport:
     slope_near_zero: bool  # diagnostic uninformative when the predicted slope ~ 0
 
 
-def drift_check(
-    samples: list[MomentSample],
-    params: ModelParams,
-    u0_l2_sq: float,
-    zero_slope_tol: float = 1e-10,
-) -> DriftReport:
+# a predicted slope below this is taken as zero: it becomes the floor of the
+# relative error's denominator and sets slope_near_zero
+ZERO_SLOPE_TOL = 1e-10
+
+
+def drift_check(samples: list[MomentSample], params: ModelParams, u0_l2_sq: float) -> DriftReport:
     """Affine fit of F(t) against the predicted constant slope, plus a
     per-interval finite-difference check of the dB/dt law.
 
@@ -119,7 +116,7 @@ def drift_check(
 
     fitted, intercept = np.polyfit(t, f, 1)
     residual = float(np.max(np.abs(f - (fitted * t + intercept))))
-    denom = max(abs(slope_pred), zero_slope_tol)
+    denom = max(abs(slope_pred), ZERO_SLOPE_TOL)
     rel_err = abs(fitted - slope_pred) / denom
 
     b = np.array([s.b_moment for s in samples])
@@ -134,5 +131,5 @@ def drift_check(
         slope_rel_error=float(rel_err),
         fit_residual=residual,
         db_dt_max_error=db_err,
-        slope_near_zero=bool(abs(slope_pred) < zero_slope_tol),
+        slope_near_zero=bool(abs(slope_pred) < ZERO_SLOPE_TOL),
     )

@@ -26,7 +26,8 @@ __all__ = [
 
 
 class SpectralGrid:
-    """Uniform periodic grid on [-L, L) with N points (N a power of two).
+    """Uniform periodic grid on [-L, L) with N points (N a power of two, at
+    least 2: the dealiased products need a Nyquist mode).
 
     Exposes the collocation points ``x``, the spacing ``dx = 2L/N`` and the
     wavenumber table ``k_j = pi*j/L`` in standard FFT ordering.
@@ -34,8 +35,8 @@ class SpectralGrid:
 
     def __init__(self, num_points: int, half_length: float):
         n = int(num_points)
-        if n <= 0 or (n & (n - 1)) != 0:
-            raise ValueError(f"num_points must be a positive power of two, got {num_points}")
+        if n < 2 or (n & (n - 1)) != 0:
+            raise ValueError(f"num_points must be a power of two >= 2, got {num_points}")
         if not (half_length > 0):
             raise ValueError(f"half_length must be positive, got {half_length}")
         self.num_points = n

@@ -75,7 +75,6 @@ def weight_g2(x) -> np.ndarray:
 @dataclass(frozen=True)
 class WeightBoundReport:
     smallest_c: float
-    x_max: float
     ratio_at_edge: float
 
 
@@ -85,7 +84,6 @@ def weight_derivative_bounds(x_max: float = 40.0, num: int = 4001) -> WeightBoun
     ratio = (np.abs(weight_g1(x)) + np.abs(weight_g2(x))) * np.exp(np.abs(x))
     return WeightBoundReport(
         smallest_c=float(np.max(ratio)),
-        x_max=x_max,
         ratio_at_edge=float(max(ratio[0], ratio[-1])),
     )
 
@@ -200,7 +198,6 @@ class IdentityResidualSample:
     lhs: float
     rhs: float
     residual: float
-    dt_used: float
 
 
 def _dt4(values: list[float], h: float) -> float:
@@ -223,8 +220,11 @@ def _window_times(states: list) -> float:
     return h
 
 
-def _j2_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt: Weights):
-    """(J2_int, lhs, cubic, mixed) of the Prop2 identity at ``state.time``."""
+def _j2_pieces(
+    state: SystemState, config: VirialConfig, params: ModelParams, wt: Weights, j2: float
+):
+    """(J2_int, lhs, cubic, mixed) of the Prop2 identity at ``state.time``,
+    where ``j2`` is functional_J2 there."""
     grid = state.grid
     t = state.time
     th2 = config.theta2
@@ -234,7 +234,6 @@ def _j2_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt
     vx = state.v.dx.real
     cubic_dens = state.v.cube / 3.0 - params.gamma * u_sq * v
 
-    j2 = th2 / wt.eta * integrate(v_sq * wt.wg, grid)
     # J_{2,1}: -theta2 eta'/eta^2 * int v^2 w g
     j21 = -(config.r1 / t) * j2
     # J_{2,2}: (theta2/eta) int v^2 d/dt[w g]
@@ -303,7 +302,7 @@ def window_entry(
     j3 = functional_J3(state, config, params, weights=wt)
     pieces = None
     if state.time >= 2:
-        pieces = (_j2_pieces(state, config, params, wt), _j3_pieces(state, config, params, wt))
+        pieces = (_j2_pieces(state, config, params, wt, j2), _j3_pieces(state, config, params, wt))
     return WindowEntry(state.time, j2, j3, pieces)
 
 
@@ -315,8 +314,8 @@ def window_residuals(window) -> tuple[IdentityResidualSample, IdentityResidualSa
     (j2_int, lhs2, cubic, mixed2), (j3_int, grad, quartic, mixed3) = window[2].pieces
     rhs2 = -_dt4([e.j2 for e in window], h) + j2_int + cubic - mixed2
     lhs3, rhs3 = grad + quartic, -_dt4([e.j3 for e in window], h) + j3_int + mixed3
-    return (IdentityResidualSample(t, lhs2, rhs2, lhs2 - rhs2, h),
-            IdentityResidualSample(t, lhs3, rhs3, lhs3 - rhs3, h))
+    return (IdentityResidualSample(t, lhs2, rhs2, lhs2 - rhs2),
+            IdentityResidualSample(t, lhs3, rhs3, lhs3 - rhs3))
 
 
 def _state_window(states: list[SystemState], config: VirialConfig, params: ModelParams):
@@ -371,7 +370,6 @@ def identity_residual_combined(
         lhs=r2.lhs + r3.lhs,
         rhs=r2.rhs + r3.rhs,
         residual=r2.residual + r3.residual,
-        dt_used=r2.dt_used,
     )
     return CombinedResidual(sample=sample, coefficient_sum=coeff, prop2=r2, prop3=r3)
 

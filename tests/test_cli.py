@@ -9,6 +9,7 @@ import pytest
 from skdv import cli, conservation, decay, experiments, momentum, virial
 from skdv.cli import (
     EXIT_BLOWUP,
+    EXIT_BOUNDARY,
     EXIT_CONFIG,
     EXIT_OK,
     ConfigError,
@@ -127,6 +128,35 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_one_point_grid(self, tmp_path, capsys):
+        # one point has no Nyquist mode for the dealiased products: rejected
+        # before any stepping or output
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace("n = 256", "n = 1").replace(
+            "family = gaussian\namplitude_u = 0.2\namplitude_v = 0.2", "family = zero")
+        path, out = _write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match="power of two >= 2"):
+            load_config(path)
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, strict", [
+        ("true", True), ("on", True), ("1", True), ("false", False), ("no", False)])
+    def test_boolean_values(self, tmp_path, value, strict):
+        text = BASE_CONFIG.format(out=tmp_path / "out") + f"strict = {value}\n"
+        path, _ = _write_config(tmp_path, text)
+        assert load_config(path).strict is strict
+
+    def test_boolean_typo_rejected(self, tmp_path, capsys):
+        # a typo must not read as False
+        text = BASE_CONFIG.format(out=tmp_path / "out") + "strict = ture\n"
+        path, out = _write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=r"\[output\] strict"):
+            load_config(path)
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
@@ -136,8 +166,8 @@ class TestLoadConfig:
         ("gaussian", "speed = 7.0"),  # read only by kdv_soliton
         ("kdv_soliton", "amplitude_u = 0.2"),
         ("zero", "width_v = 2.0"),
-        ("sum", ""),  # needs component specs, which an INI cannot give
-        ("custom", ""),  # needs sample arrays
+        ("sum", ""),  # not a family
+        ("custom", ""),  # not a family
         ("nope", ""),
     ], ids=["gaussian-carrier", "gaussian-speed", "kdv_soliton-amplitude_u", "zero-width_v",
             "sum", "custom", "unknown"])
@@ -417,6 +447,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "boundary tail" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("strict, code", [("true", EXIT_BOUNDARY), ("false", EXIT_OK)])
+    def test_boundary_contamination(self, tmp_path, capsys, strict, code):
+        # a packet with carrier 8 moves at group velocity 16: it starts clear
+        # of the edge of a box of half-length 16 and reaches its outer tenth
+        # by t = 0.6; only strict mode turns that into exit code 4
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "l = 32.0", "l = 16.0").replace("t_end = 0.1", "t_end = 0.8").replace(
+            "family = gaussian", "family = modulated_gaussian\ncarrier = 8.0"
+        ) + f"strict = {strict}\n"
+        path, out = _write_config(tmp_path, text)
+        assert main(["run", str(path)]) == code
+        bmass = [r[1] for r in _rows(out, "flags.csv")]
+        assert bmass[0] <= decay.BOUNDARY_TOLERANCE < bmass[-1]
+        err = capsys.readouterr().err
+        assert ("boundary contamination in strict mode" in err) == (code == EXIT_BOUNDARY)
 
     def test_check_smallness(self, tmp_path, capsys):
         text = BASE_CONFIG.format(out=tmp_path / "out").replace(

@@ -80,13 +80,6 @@ class TestRun:
         times = [s.time for s in res.snapshots]
         assert times == pytest.approx([0.0, 0.05, 0.1])
 
-    def test_per_step_called(self, grid):
-        state = make_initial_data(InitialData(family="zero"), grid)
-        seen = []
-        run(state, StepperConfig(dt=1e-2, t_end=0.05), ModelParams(1.0, 0.0, 1.0),
-            per_step=lambda s: seen.append(s.time))
-        assert len(seen) == 5
-
     def test_strang_beats_lie(self, grid):
         state = make_initial_data(
             InitialData(family="gaussian", amplitude_u=0.5, amplitude_v=0.5), grid
@@ -201,8 +194,8 @@ class TestWorkArrays:
         def keep_copy(s):
             copies.append((s, s.u.samples.copy(), s.v.samples.copy()))
 
-        cfg = StepperConfig(dt=5e-3, t_end=0.1, scheme=scheme, snapshot_stride=3)
-        res = run(state0, cfg, self.PARAMS, per_step=keep_copy, on_snapshot=keep_copy)
+        cfg = StepperConfig(dt=5e-3, t_end=0.1, scheme=scheme)  # every step a snapshot
+        res = run(state0, cfg, self.PARAMS, on_snapshot=keep_copy)
         states = [s for s, _, _ in copies] + res.snapshots + [res.final_state]
         for s, u, v in copies:
             assert s.u.samples.tobytes() == u.tobytes()

@@ -66,26 +66,6 @@ class TestInitialData:
         with pytest.raises(ValueError):
             kdv_soliton_profile(x, -1.0)
 
-    def test_sum_family(self, grid):
-        spec = InitialData(
-            family="sum",
-            components=(
-                InitialData(family="gaussian", amplitude_u=0.5, amplitude_v=0.0),
-                InitialData(family="kdv_soliton", speed=0.5),
-            ),
-        )
-        state = make_initial_data(spec, grid)
-        assert state.v.samples[128] == pytest.approx(1.5)
-        assert state.u.samples[128] == pytest.approx(0.5)
-
-    def test_custom_family(self, grid):
-        u = np.exp(-grid.x**2) * 1j
-        v = np.exp(-grid.x**2)
-        state = make_initial_data(
-            InitialData(family="custom", u_samples=u, v_samples=v), grid
-        )
-        assert np.allclose(state.u.samples, u)
-
     def test_unknown_family(self, grid):
         with pytest.raises(ValueError):
             make_initial_data(InitialData(family="nope"), grid)
