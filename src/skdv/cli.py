@@ -15,6 +15,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import math
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -73,13 +74,18 @@ _KNOWN_KEYS = {
 
 
 def _get(parser, section, key, cast, default):
-    if parser.has_option(section, key):
-        raw = parser.get(section, key)
-        try:
-            return parser.getboolean(section, key) if cast is bool else cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
-    return default
+    """The value of ``key`` cast by ``cast``, else ``default``; a value that
+    does not parse, or a non-finite number, is a ConfigError."""
+    if not parser.has_option(section, key):
+        return default
+    raw = parser.get(section, key)
+    try:
+        value = parser.getboolean(section, key) if cast is bool else cast(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+    return value
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -139,12 +145,12 @@ def load_config(path: str | Path) -> RunConfig:
             carrier=_get(parser, "initial", "carrier", float, 0.0),
             speed=_get(parser, "initial", "speed", float, 1.0),
         )
-        theta3_raw = _get(parser, "virial", "theta3", str, "auto")
         vir = virial.VirialConfig(
             p1=_get(parser, "virial", "p1", float, 0.25),
             p2=_get(parser, "virial", "p2", float, 2.5),
             theta2=_get(parser, "virial", "theta2", float, 1.0),
-            theta3="auto" if theta3_raw == "auto" else float(theta3_raw),
+            theta3=_get(parser, "virial", "theta3",
+                        lambda raw: raw if raw == "auto" else float(raw), "auto"),
         )
         window = decay.WindowSpec(
             exponent=_get(parser, "window", "p", float, 0.5),

@@ -1,5 +1,5 @@
-"""Windowed local energies, sign-partition diagnostics and the
-time-integrated weighted accumulators.
+"""Windowed local energies and the time-integrated weighted accumulators,
+both read from one table of energy densities.
 
 The local-energy window is |x - center| <= c * t^p with center = t^m (or 0),
 realized as a sharp indicator on grid cells.  Accumulators integrate
@@ -32,12 +32,9 @@ __all__ = [
     "LiminfReport",
     "make_accumulators",
     "weighted_accumulator_step",
-    "sign_partition_measure",
     "smallness_gate_check",
     "GateReport",
     "boundary_mass",
-    "equivalence_bound_check",
-    "BoundChainReport",
 ]
 
 # the largest boundary_mass that counts as clear of the box edge: initial
@@ -80,30 +77,21 @@ class WindowedEnergy:
     clipped: bool  # window extended past the box edge
 
 
-_WINDOW_KINDS = ("mixed", "coupling", "grad_v", "grad_u", "power_u", "power_v")
-
-
-def _energy_density(
-    state: SystemState, kind: str, params, power: float, cells: slice
-) -> np.ndarray:
-    """The density of ``kind`` on the grid cells ``cells``."""
-    u = state.u.samples[cells]
-    v = state.v.samples[cells]
-    if kind in ("mixed", "coupling") and params is None:
-        raise ValueError(f"kind {kind!r} requires model parameters")
-    if kind == "mixed":
-        return np.abs(0.5 * v**2 - params.gamma * np.abs(u) ** 2)
-    if kind == "coupling":
-        return np.abs(u) * np.abs(params.alpha * v + params.beta * np.abs(u) ** 2)
-    if kind == "grad_v":
-        return state.v.dx.real[cells] ** 2
-    if kind == "grad_u":
-        return np.abs(state.u.dx[cells]) ** 2
-    if kind == "power_u":
-        return np.abs(u) ** power
-    if kind == "power_v":
-        return np.abs(v) ** power
-    raise ValueError(f"unknown energy kind {kind!r}; choose from {_WINDOW_KINDS}")
+# kind -> its energy density on the grid cells c, from the cached arrays of
+# the fields u and v (p the model parameters, k the power): the one table
+# that the windowed energies and the accumulators read
+_DENSITIES = {
+    "mixed": lambda u, v, p, k, c: np.abs(0.5 * v.abs_sq[c] - p.gamma * u.abs_sq[c]),
+    "coupling": lambda u, v, p, k, c: u.abs[c] * np.abs(
+        p.alpha * v.samples[c] + p.beta * u.abs_sq[c]),
+    "grad_v": lambda u, v, p, k, c: v.dx_sq[c],
+    "grad_u": lambda u, v, p, k, c: u.dx_abs_sq[c],
+    "power_u": lambda u, v, p, k, c: u.abs[c] ** k,
+    "power_v": lambda u, v, p, k, c: np.abs(v.samples[c]) ** k,
+    "quartic_u": lambda u, v, p, k, c: u.abs_fourth[c],
+    "cubic_u": lambda u, v, p, k, c: u.abs[c] ** 3,
+    "uv_product": lambda u, v, p, k, c: np.abs(u.samples[c] * v.samples[c]),
+}
 
 
 def windowed_energy(
@@ -113,16 +101,20 @@ def windowed_energy(
     params: ModelParams | None = None,
     power: float = 4.0,
 ) -> WindowedEnergy:
-    """Local energy of the given kind over the growing window at state.time.
-    The density is evaluated on the window's cells only: the grid is sorted,
-    so they are the contiguous run lo <= x <= hi."""
+    """Local energy of the given kind over the growing window at state.time:
+    the density on the window's cells, which are the contiguous run
+    lo <= x <= hi of the sorted grid."""
     if state.time <= 0:
         raise ValueError(f"windowed energies require t > 0, got {state.time}")
+    if kind not in _DENSITIES:
+        raise ValueError(f"unknown energy kind {kind!r}; choose from {tuple(_DENSITIES)}")
+    if kind in ("mixed", "coupling") and params is None:
+        raise ValueError(f"kind {kind!r} requires model parameters")
     lo, hi = window.interval(state.time)
     grid = state.grid
     clipped = lo < -grid.half_length or hi > grid.half_length
     cells = slice(grid.x.searchsorted(lo, "left"), grid.x.searchsorted(hi, "right"))
-    dens = _energy_density(state, kind, params, power, cells)
+    dens = _DENSITIES[kind](state.u, state.v, params, power, cells)
     return WindowedEnergy(float(grid.spacing * dens.sum()), clipped)
 
 
@@ -183,16 +175,18 @@ def liminf_tracker(times, values) -> LiminfReport:
     )
 
 
-ACCUMULATOR_TAGS = (
-    "mixed_kdv",
-    "schrodinger_coupling",
-    "gradient_v",
-    "gradient_u",
-    "quartic_u",
-    "cubic_u",
-    "uv_product",
-    "power_k",
-)
+# accumulator tag -> the kind of density it integrates
+_ACCUMULATED = {
+    "mixed_kdv": "mixed",
+    "schrodinger_coupling": "coupling",
+    "gradient_v": "grad_v",
+    "gradient_u": "grad_u",
+    "quartic_u": "quartic_u",
+    "cubic_u": "cubic_u",
+    "uv_product": "uv_product",
+    "power_k": "power_v",
+}
+ACCUMULATOR_TAGS = tuple(_ACCUMULATED)
 
 
 @dataclass
@@ -213,22 +207,6 @@ def make_accumulators() -> dict:
     return {tag: AccumulatorState(tag) for tag in ACCUMULATOR_TAGS}
 
 
-def _accumulator_densities(
-    state: SystemState, params: ModelParams, power_exponent: float
-) -> dict:
-    u, v = state.u, state.v
-    return {
-        "mixed_kdv": np.abs(0.5 * v.abs_sq - params.gamma * u.abs_sq),
-        "schrodinger_coupling": u.abs * np.abs(params.alpha * v.samples + params.beta * u.abs_sq),
-        "gradient_v": v.dx_sq,
-        "gradient_u": u.dx_abs_sq,
-        "quartic_u": u.abs_fourth,
-        "cubic_u": u.abs**3,
-        "uv_product": np.abs(u.samples * v.samples),
-        "power_k": np.abs(v.samples) ** (2.0 + power_exponent),
-    }
-
-
 def weighted_accumulator_step(
     state: SystemState,
     config: VirialConfig,
@@ -241,19 +219,20 @@ def weighted_accumulator_step(
 
         I(t) = (1/t) int dens(x,t) w'(x/lambda1) g(x/lambda2) dx
 
-    for that accumulator's density.  The first call (t >= 2) only primes the
-    integrand memory.  ``weights`` may pass the virial weights already built
-    at ``state.time``, whose ``wpg`` is this weight.  Mutates and returns
-    ``accumulators``.
+    for that accumulator's density, with |v|^(2 + power_exponent) for
+    ``power_k``.  The first call (t >= 2) only primes the integrand memory.
+    ``weights`` may pass the virial weights already built at ``state.time``,
+    whose ``wpg`` is this weight.  Mutates and returns ``accumulators``.
     """
     t = state.time
     if t < 2:
         raise ValueError(f"accumulators are defined for t >= 2, got {t}")
     grid = state.grid
     weight = (weights if weights is not None else Weights(grid, config, t)).wpg
-    densities = _accumulator_densities(state, params, power_exponent)
+    power = 2.0 + power_exponent
     for tag, acc in accumulators.items():
-        integrand = float(integrate(densities[tag] * weight, grid)) / t
+        dens = _DENSITIES[_ACCUMULATED[tag]](state.u, state.v, params, power, slice(None))
+        integrand = float(integrate(dens * weight, grid)) / t
         if np.isfinite(acc.last_time):
             if t <= acc.last_time:
                 raise ValueError("accumulator times must be strictly increasing")
@@ -261,19 +240,6 @@ def weighted_accumulator_step(
         acc.last_time = t
         acc.last_integrand = integrand
     return accumulators
-
-
-def sign_partition_measure(state: SystemState, params: ModelParams) -> tuple[float, float, float]:
-    """Measures (dx-count) of the cells where v^2/2 - gamma |u|^2 is
-    positive, negative or zero to within 1e-12 of its largest magnitude."""
-    dens = 0.5 * state.v.samples**2 - params.gamma * np.abs(state.u.samples) ** 2
-    scale = max(float(np.max(np.abs(dens))), 1e-300)
-    cut = 1e-12 * scale
-    dx = state.grid.spacing
-    plus = dx * int(np.sum(dens > cut))
-    minus = dx * int(np.sum(dens < -cut))
-    zero = dx * int(np.sum(np.abs(dens) <= cut))
-    return plus, minus, zero
 
 
 @dataclass(frozen=True)
@@ -313,70 +279,3 @@ def boundary_mass(state: SystemState) -> float:
         return 0.0
     outer = np.abs(grid.x) >= 0.9 * grid.half_length
     return float(dens[outer].sum()) / total
-
-
-@dataclass(frozen=True)
-class BoundChainReport:
-    lhs_v: float
-    rhs_v: float
-    lhs_u: float
-    rhs_u: float
-    holds: bool
-
-
-def equivalence_bound_check(
-    state: SystemState,
-    params: ModelParams,
-    m: float = 1.0,
-    eps: float = 0.5,
-    config: VirialConfig | None = None,
-) -> BoundChainReport:
-    """Integrated form of the two Young-inequality chains that make the
-    |u|^(2+m) and |v|^(2+m) weighted integrals equivalent (gamma > 0):
-
-        |v|^(2+m) <= 2 sup|v|^m |v^2/2 - gamma|u|^2|
-                     + 2 gamma (eps^q |v|^(2+m) + eps^-r |u|^(2+m))
-        |u|^(2+m) <= (sup|u|^m/gamma) |v^2/2 - gamma|u|^2|
-                     + (1/(2 gamma)) (eps^q |u|^(2+m) + eps^-r |v|^(2+m))
-
-    with q = (2+m)/m, r = (2+m)/2.  Both sides are integrated against the
-    accumulator weight when ``config`` is given (t > 0), else plain dx.
-    """
-    if params.gamma <= 0:
-        raise ValueError("the bound chains are stated for gamma > 0")
-    if m <= 0 or eps <= 0:
-        raise ValueError("m and eps must be positive")
-    grid = state.grid
-    if config is not None and state.time > 0:
-        weight = Weights(grid, config, state.time).wpg
-    else:
-        weight = np.ones(grid.num_points)
-
-    g = params.gamma
-    v_abs = np.abs(state.v.samples)
-    u_abs = np.abs(state.u.samples)
-    mixed_abs = np.abs(0.5 * state.v.samples**2 - g * u_abs**2)
-    q = (2.0 + m) / m
-    r = (2.0 + m) / 2.0
-    sup_v = float(np.max(v_abs)) ** m
-    sup_u = float(np.max(u_abs)) ** m
-
-    def wint(dens):
-        return float(integrate(dens * weight, grid))
-
-    lhs_v = wint(v_abs ** (2.0 + m))
-    rhs_v = 2.0 * sup_v * wint(mixed_abs) + 2.0 * g * (
-        eps**q * wint(v_abs ** (2.0 + m)) + eps ** (-r) * wint(u_abs ** (2.0 + m))
-    )
-    lhs_u = wint(u_abs ** (2.0 + m))
-    rhs_u = (sup_u / g) * wint(mixed_abs) + (1.0 / (2.0 * g)) * (
-        eps**q * wint(u_abs ** (2.0 + m)) + eps ** (-r) * wint(v_abs ** (2.0 + m))
-    )
-    tol = 1e-12 * max(abs(rhs_v), abs(rhs_u), 1.0)
-    return BoundChainReport(
-        lhs_v=lhs_v,
-        rhs_v=rhs_v,
-        lhs_u=lhs_u,
-        rhs_u=rhs_u,
-        holds=bool(lhs_v <= rhs_v + tol and lhs_u <= rhs_u + tol),
-    )

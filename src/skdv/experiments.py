@@ -31,21 +31,17 @@ def identity_window(
     five-point stencil is centred at t_center.  The mixed terms cancel only
     under theta3 = 'auto'; otherwise the last two columns are nan.
     """
+    auto = vcfg.theta3 == "auto"
+    coeff = (-2.0 * vcfg.theta2 * params.gamma + vcfg.theta3_value(params) * params.alpha
+             if auto else np.nan)
     rows = []
     for dt in dts:
         n_center = int(round(t_center / dt))
         last5 = deque(maxlen=5)
         run(state0, StepperConfig(dt=dt, t_end=(n_center + 2) * dt, scheme=scheme), params,
             on_snapshot=last5.append, keep_snapshots=False)
-        window = list(last5)
-        if vcfg.theta3 == "auto":
-            rc = virial.identity_residual_combined(window, vcfg, params)
-            r2, r3 = rc.prop2, rc.prop3
-            combined, coeff = abs(rc.sample.residual), rc.coefficient_sum
-        else:
-            r2, r3 = virial.window_residuals([virial.window_entry(s, vcfg, params)
-                                              for s in window])
-            combined = coeff = np.nan
+        r2, r3 = virial.window_residuals([virial.window_entry(s, vcfg, params) for s in last5])
+        combined = abs(r2.residual + r3.residual) if auto else np.nan
         rows.append((dt, abs(r2.residual), abs(r3.residual), combined, coeff))
     return rows
 

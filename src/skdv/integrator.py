@@ -20,7 +20,6 @@ __all__ = [
     "StepperConfig",
     "BlowUpError",
     "RunResult",
-    "dispersion_step",
     "run",
 ]
 
@@ -71,48 +70,35 @@ def _dispersion_factors(grid, dt: float):
     return np.exp(-1j * k**2 * dt), np.exp(1j * k**3 * dt)
 
 
-def _disperse(u, v, factors, u_out=None, v_out=None):
-    """Free evolution through ``factors`` from ``_dispersion_factors``:
-    u_hat *= fu, v_hat *= fv.  Each field is transformed in place in its
-    complex output array (fresh when not given); returns (u, v)."""
-    fu, fv = factors
-    n = u.shape[0]
-    u_out = np.empty(n, np.complex128) if u_out is None else u_out
-    v_out = np.empty(n, np.complex128) if v_out is None else v_out
-    np.fft.fft(u, out=u_out)
-    u_out *= fu
-    np.fft.ifft(u_out, out=u_out)
-    v_out[...] = v
-    np.fft.fft(v_out, out=v_out)
-    v_out *= fv
-    np.fft.ifft(v_out, out=v_out)
-    return u_out, v_out.real
-
-
-def dispersion_step(state: SystemState, dt: float) -> SystemState:
-    """Exact free evolution: u_hat *= exp(-i k^2 dt), v_hat *= exp(i k^3 dt)."""
-    grid = state.grid
-    u, v = _disperse(state.u.samples, state.v.samples, _dispersion_factors(grid, dt))
-    return SystemState(ComplexField(grid, u), RealField(grid, v.copy()), state.time + dt)
-
-
 class _Work:
-    """The arrays a run steps in, allocated once: the spectra of the first
-    dispersion step (v_hat also takes v in the last one of a Strang step),
-    the flux spectrum (which also takes conj(u) and the dealiased products),
-    gamma*|u|^2, the RK4 stage argument, the running RK4 sum (then the new
-    v) and the latest RK4 stage."""
+    """The arrays a run steps in, allocated once: the current u and v (v as
+    a complex array, real part v), which the dispersion steps transform in
+    place and the nonlinear substep advances; the flux spectrum (which also
+    takes conj(u), the dealiased products and the phase), gamma*|u|^2, the
+    RK4 stage argument, the running RK4 sum (then the new v) and the latest
+    RK4 stage."""
 
-    def __init__(self, grid):
-        n = grid.num_points
-        self.grid = grid
-        self.u_hat, self.v_hat, self.flux_hat = (np.empty(n, np.complex128) for _ in range(3))
+    def __init__(self, state: SystemState):
+        n = state.grid.num_points
+        self.grid = state.grid
+        self.u = state.u.samples.copy()
+        self.v = state.v.samples.astype(np.complex128)
+        self.flux_hat = np.empty(n, np.complex128)
         self.gamma_u_sq, self.stage, self.total, self.k = (np.empty(n) for _ in range(4))
 
 
-def _nonlinear_substep(work: _Work, u, v, dt, params: ModelParams, u_out=None, v_out=None):
-    """Raw-array nonlinear step, written into ``u_out`` and ``v_out`` when
-    given, else into u itself and the work arrays.
+def _disperse(work: _Work, factors):
+    """Free evolution through ``factors`` from ``_dispersion_factors``, in
+    place: u_hat *= fu, v_hat *= fv.  v keeps the real part only."""
+    for field, f in zip((work.u, work.v), factors):
+        np.fft.fft(field, out=field)
+        field *= f
+        np.fft.ifft(field, out=field)
+    work.v.imag = 0.0
+
+
+def _nonlinear_substep(work: _Work, dt, params: ModelParams):
+    """The nonlinear step of the work set's u and v, in place.
 
     |u| is exactly invariant under the nonlinear subflow (the u equation is
     a pure phase rotation), so the v step with |u|^2 frozen introduces no
@@ -120,7 +106,7 @@ def _nonlinear_substep(work: _Work, u, v, dt, params: ModelParams, u_out=None, v
     rotation uses the trapezoidal average of v over the step to stay second
     order.
     """
-    grid, hat = work.grid, work.flux_hat
+    grid, hat, u, v = work.grid, work.flux_hat, work.u, work.v.real
     u_sq = dealiased_product_samples(grid, [u, np.conjugate(u, out=hat)], out=hat).real
 
     ik = grid.derivative_multiplier(1)
@@ -149,11 +135,12 @@ def _nonlinear_substep(work: _Work, u, v, dt, params: ModelParams, u_out=None, v
         flux(stage, k)
     total += k
     total *= dt / 6.0
-    v_new = np.add(v, total, out=total if v_out is None else v_out)
+    v_new = np.add(v, total, out=total)
 
     # u -> u * exp(-i*(alpha*v_avg + beta*|u|^2)*dt); |u| preserved pointwise.
     # The stages are spent, so their arrays hold the terms.
     v_avg = np.add(v, v_new, out=k)
+    work.v[...] = v_new
     v_avg *= 0.5
     v_avg *= params.alpha
     beta_u_sq = np.abs(u, out=stage)
@@ -163,7 +150,7 @@ def _nonlinear_substep(work: _Work, u, v, dt, params: ModelParams, u_out=None, v
     phase = np.multiply(-1j, v_avg, out=hat)
     phase *= dt
     np.exp(phase, out=phase)
-    return np.multiply(u, phase, out=u if u_out is None else u_out), v_new
+    u *= phase
 
 
 def run(
@@ -183,10 +170,8 @@ def run(
     dt = config.dt
     n_steps = config.n_steps
 
-    if config.scheme == "strang":
-        f_half = _dispersion_factors(grid, 0.5 * dt)
-    else:
-        f_full = _dispersion_factors(grid, dt)
+    strang = config.scheme == "strang"
+    factors = _dispersion_factors(grid, 0.5 * dt if strang else dt)
 
     result = RunResult(final_state=state0)
     if keep_snapshots:
@@ -194,20 +179,15 @@ def run(
     if on_snapshot is not None:
         on_snapshot(state0)
 
-    # only the arrays of each new state are fresh, so no state handed out
-    # shares memory with the work arrays or with another state
-    work = _Work(grid)
-    u, v = state0.u.samples, state0.v.samples
+    # each new state copies its arrays out of the work set, so no state
+    # handed out shares memory with the work arrays or with another state
+    work = _Work(state0)
     for step in range(1, n_steps + 1):
-        if config.scheme == "strang":
-            u, v = _disperse(u, v, f_half, work.u_hat, work.v_hat)
-            u, v = _nonlinear_substep(work, u, v, dt, params)
-            u, v = _disperse(u, v, f_half, v_out=work.v_hat)
-            v = v.copy()  # the new state's own real array, not a view of v_hat
-        else:
-            u, v = _disperse(u, v, f_full, work.u_hat, work.v_hat)
-            u, v = _nonlinear_substep(
-                work, u, v, dt, params, np.empty_like(u), np.empty(grid.num_points))
+        _disperse(work, factors)
+        _nonlinear_substep(work, dt, params)
+        if strang:
+            _disperse(work, factors)
+        u, v = work.u.copy(), work.v.real.copy()
         t = state0.time + step * dt
 
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):

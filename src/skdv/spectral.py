@@ -1,9 +1,10 @@
 """Periodic spectral discretization: grids, fields, spectral derivatives of
 sample arrays, dealiased products of sample arrays, quadrature and norms.
 
-The real line is approximated by the periodic box [-L, L).  All nonlinear
-products are formed on a zero-padded fine grid (2x the modes) so that both
-quadratic and cubic nonlinearities are alias-free.
+The real line is approximated by the periodic box [-L, L).  The quadratic
+products of the stepper, |u|^2 and v^2, are formed on a zero-padded fine
+grid (2x the modes), so they are alias-free; the cubic term enters the
+stepper as a pointwise phase and needs no product.
 """
 
 from __future__ import annotations
@@ -208,73 +209,57 @@ def _keep_fft_scratch_resident() -> None:
 def _product_work(grid: SpectralGrid):
     """The work arrays of ``dealiased_product_samples`` on ``grid``, built on
     first use: the 2N padded spectrum, whose middle is zero and never
-    written, and the 2N fine buffers, at most three, added as a product
-    needs them.  A grid with N >= 8192 first makes the FFT scratch stay
-    resident."""
+    written, and the two 2N fine buffers.  A grid with N >= 8192 first makes
+    the FFT scratch stay resident."""
     if grid._product_work is None:
         if grid.num_points >= _RESIDENT_SCRATCH_MIN_N:
             _keep_fft_scratch_resident()
-        grid._product_work = (np.zeros(2 * grid.num_points, np.complex128), [])
+        fine_n = 2 * grid.num_points
+        grid._product_work = (np.zeros(fine_n, np.complex128),
+                              tuple(np.empty(fine_n, np.complex128) for _ in range(2)))
     return grid._product_work
 
 
 def dealiased_product_samples(
     grid: SpectralGrid, factors: list[np.ndarray], out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Alias-free pointwise product of 2 or 3 sample arrays; complex output,
-    written into ``out`` (complex, N points) when given.  ``out`` may be one
-    of the factors: every factor is read before it is written.
+    """Alias-free pointwise product of the 2 sample arrays in ``factors``;
+    complex output, written into ``out`` (complex, N points) when given.
+    ``out`` may be one of the factors: both are read before it is written.
 
     Each factor is interpolated onto the 2x grid (its spectrum zero-padded,
-    the Nyquist coefficient split in half, times 2), the factors are
-    multiplied left to right there, and the product is truncated back to N
-    modes (times 1/2, the two Nyquist halves summed).  A factor given more
-    than once (the same array object) is interpolated once.  All of it runs
-    in the grid's work arrays, built on the first call, so a later call
-    allocates nothing but a fresh ``out``.
+    the Nyquist coefficient split in half, times 2), the two are multiplied
+    there, and the product is truncated back to N modes (times 1/2, the two
+    Nyquist halves summed).  A factor given twice (the same array object) is
+    interpolated once.  All of it runs in the grid's work arrays, built on
+    the first call, so a later call allocates nothing but a fresh ``out``.
     """
-    if len(factors) not in (2, 3):
-        raise ValueError(f"dealiased product takes 2 or 3 factors, got {len(factors)}")
+    if len(factors) != 2:
+        raise ValueError(f"dealiased product takes 2 factors, got {len(factors)}")
     n = grid.num_points
     fine_n, half = 2 * n, n // 2
     padded, fine = _product_work(grid)
-
-    def fine_buffer(i):
-        if i == len(fine):
-            fine.append(np.empty(fine_n, np.complex128))
-        return fine[i]
-
-    upsampled = {}
-    for f in factors:
-        if id(f) not in upsampled:
-            # the N-point spectrum is formed in the first half of the fine
-            # buffer that the interpolated factor then fills
-            up = upsampled[id(f)] = fine_buffer(len(upsampled))
-            spectrum = up[:n]
-            spectrum[...] = f
-            np.fft.fft(spectrum, out=spectrum)
-            padded[:half] = spectrum[:half]
-            padded[fine_n - half + 1 :] = spectrum[half + 1 :]
-            padded[half] = padded[fine_n - half] = 0.5 * spectrum[half]
-            np.fft.ifft(padded, out=up)
-            up *= 2
-    up = [upsampled[id(f)] for f in factors]
-    # the running product overwrites an upsampled factor that no later
-    # factor needs; only [a, a, a] needs a buffer of its own
-    last = up[2] if len(up) == 3 else None
-    running = next((b for b in up[:2] if b is not last), None)
-    if running is None:
-        running = fine_buffer(1)
-    np.multiply(up[0], up[1], out=running)
-    if last is not None:
-        np.multiply(running, last, out=running)
+    distinct = factors[:1] if factors[1] is factors[0] else factors
+    for f, up in zip(distinct, fine):
+        # the N-point spectrum is formed in the first half of the fine
+        # buffer that the interpolated factor then fills
+        spectrum = up[:n]
+        spectrum[...] = f
+        np.fft.fft(spectrum, out=spectrum)
+        padded[:half] = spectrum[:half]
+        padded[fine_n - half + 1 :] = spectrum[half + 1 :]
+        padded[half] = padded[fine_n - half] = 0.5 * spectrum[half]
+        np.fft.ifft(padded, out=up)
+        up *= 2
+    product = fine[0]
+    np.multiply(product, fine[len(distinct) - 1], out=product)
 
     # truncated in place: the first N entries become the N-point spectrum
-    np.fft.fft(running, out=running)
-    running *= 0.5
-    running[half + 1 : n] = running[fine_n - half + 1 :]
-    running[half] += running[fine_n - half]
-    return np.fft.ifft(running[:n], out=out)
+    np.fft.fft(product, out=product)
+    product *= 0.5
+    product[half + 1 : n] = product[fine_n - half + 1 :]
+    product[half] += product[fine_n - half]
+    return np.fft.ifft(product[:n], out=out)
 
 
 def integrate(f: Field | np.ndarray, grid: SpectralGrid | None = None):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ModelParams, SystemState
-from .spectral import derivative_samples, integrate
+from .spectral import integrate
 
 __all__ = [
     "VirialConfig",
@@ -37,7 +37,6 @@ __all__ = [
     "identity_residual_prop3",
     "identity_residual_combined",
     "check_key_identities",
-    "phase_current_rate",
 ]
 
 
@@ -172,8 +171,7 @@ def _check_time(t: float) -> None:
 
 
 def functional_J2(
-    state: SystemState, config: VirialConfig, params: ModelParams | None = None,
-    weights: Weights | None = None,
+    state: SystemState, config: VirialConfig, weights: Weights | None = None
 ) -> float:
     """J2 = (theta2/eta) int v^2 w(x/l1) g(x/l2) dx; always >= 0.  ``weights``
     may pass the weights already built at ``state.time``."""
@@ -298,7 +296,7 @@ def window_entry(
     if state.time <= 0:
         return WindowEntry(state.time, np.nan, np.nan, None)
     wt = weights if weights is not None else Weights(state.grid, config, state.time)
-    j2 = functional_J2(state, config, params, weights=wt)
+    j2 = functional_J2(state, config, weights=wt)
     j3 = functional_J3(state, config, params, weights=wt)
     pieces = None
     if state.time >= 2:
@@ -417,17 +415,3 @@ def check_key_identities(state: SystemState, params: ModelParams) -> KeyIdentity
         u_cubed_max_err=float(np.max(np.abs(lhs3 - rhs3))),
         scale=scale,
     )
-
-
-def phase_current_rate(state: SystemState, params: ModelParams) -> np.ndarray:
-    """Spatial expression for d/dt Im(u * conj(u_x)):
-
-        -d^2/dx^2 Re(u conj(u_x)) + 2 d/dx |u_x|^2
-            + alpha |u|^2 v_x + (beta/2) d/dx |u|^4
-    """
-    grid = state.grid
-    u = state.u
-    term1 = -derivative_samples(grid, np.real(u.times_conj_dx), 2).real
-    term2 = 2.0 * derivative_samples(grid, u.dx_abs_sq, 1).real
-    term4 = 0.5 * params.beta * derivative_samples(grid, u.abs_fourth, 1).real
-    return term1 + term2 + params.alpha * u.abs_sq * state.v.dx.real + term4

@@ -1,5 +1,6 @@
 """Tests for config parsing, CSV emission and exit codes."""
 
+import configparser
 import gc
 import weakref
 
@@ -157,6 +158,28 @@ class TestLoadConfig:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "alpha", "nan"), ("virial", "theta2", "inf"), ("grid", "l", "inf"),
+        ("virial", "theta3", "nan"), ("virial", "theta3", "-inf"), ("stepper", "dt", "nan"),
+        ("initial", "amplitude_u", "inf"), ("window", "power_exponent", "nan"),
+    ])
+    def test_non_finite_values_rejected(self, tmp_path, capsys, section, key, value):
+        # rejected where the value is read, before any stepping or output
+        parser = configparser.ConfigParser()
+        parser.read_string(BASE_CONFIG.format(out=tmp_path / "out"))
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, value)
+        path, out = tmp_path / "run.ini", tmp_path / "out"
+        with open(path, "w") as fh:
+            parser.write(fh)
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: [{section}] {key}: ")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
@@ -276,7 +299,7 @@ class TestRunCommand:
             if i == 0:
                 assert np.all(np.isnan(row[1:]))
                 continue
-            assert row[1] == virial.functional_J2(s, cfg.virial, cfg.params)
+            assert row[1] == virial.functional_J2(s, cfg.virial)
             assert row[2] == virial.functional_J3(s, cfg.virial, cfg.params)
             if s.time < 2 or i > len(snaps) - 3:
                 assert np.all(np.isnan(row[3:]))

@@ -10,10 +10,8 @@ from skdv.decay import (
     AccumulatorState,
     WindowSpec,
     boundary_mass,
-    equivalence_bound_check,
     liminf_tracker,
     make_accumulators,
-    sign_partition_measure,
     smallness_gate_check,
     weighted_accumulator_step,
     windowed_energy,
@@ -211,21 +209,6 @@ class TestAccumulators:
         assert plain["mixed_kdv"].value > 0
 
 
-class TestSignPartition:
-    def test_v_only(self, grid):
-        state = _at_time(make_initial_data(
-            InitialData(family="gaussian", amplitude_u=0.0, amplitude_v=0.5), grid), 1.0)
-        plus, minus, zero = sign_partition_measure(state, ModelParams(1.0, 0.0, 1.0))
-        assert minus == 0.0
-        assert plus + minus + zero == pytest.approx(2.0 * grid.half_length)
-
-    def test_u_only(self, grid):
-        state = _at_time(make_initial_data(
-            InitialData(family="gaussian", amplitude_u=0.5, amplitude_v=0.0), grid), 1.0)
-        plus, minus, zero = sign_partition_measure(state, ModelParams(1.0, 0.0, 1.0))
-        assert plus == 0.0
-
-
 class TestSmallnessGate:
     def _report(self, satisfied):
         return SmallnessReport(c_gn=0.9, c_abg=1.0, c_abg_intro=1.0, phi=0.1,
@@ -263,20 +246,3 @@ class TestBoundaryMass:
     def test_zero_state(self, grid):
         state = make_initial_data(InitialData(family="zero"), grid)
         assert boundary_mass(state) == 0.0
-
-
-class TestBoundChains:
-    @pytest.mark.parametrize("m", [1.0, 2.0])
-    def test_hold_on_simulated_fields(self, grid, m):
-        state = _at_time(make_initial_data(
-            InitialData(family="gaussian", amplitude_u=0.5, amplitude_v=0.4), grid), 3.0)
-        rep = equivalence_bound_check(state, ModelParams(1.0, 1.0, 1.0), m=m,
-                                      eps=0.5, config=VirialConfig())
-        assert rep.holds
-        assert rep.lhs_v <= rep.rhs_v
-        assert rep.lhs_u <= rep.rhs_u
-
-    def test_requires_positive_gamma(self, grid):
-        state = make_initial_data(InitialData(family="gaussian"), grid)
-        with pytest.raises(ValueError):
-            equivalence_bound_check(state, ModelParams(1.0, 1.0, -1.0))

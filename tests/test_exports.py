@@ -1,10 +1,12 @@
 """Every name a module of the package exports resolves, and every function
 the benchmark traces exists where it looks for it."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 from types import FunctionType
 
@@ -69,3 +71,54 @@ def test_bench_call_shapes():
     inspect.signature(model.make_initial_data).bind(None, None, boundary_threshold=1e-8)
     inspect.signature(decay.weighted_accumulator_step).bind(None, None, None, {}, 0.5)
     assert {"snapshots", "final_state"} <= set(integrator.RunResult.__dataclass_fields__)
+
+
+# exported functions that no program path calls, each kept because it checks
+# a claim of the paper: name -> the claim
+PAPER_CHECKS = {
+    "virial.weight_derivative_bounds":
+        "criterion 04: |w''| + |w'''| <= C e^-|x| for the weight pair",
+    "virial.check_key_identities":
+        "criterion 05: the pointwise algebraic identities that close the decay estimates",
+    "decay.smallness_gate_check":
+        "criterion 08: alpha*gamma + v*beta/2 >= alpha*gamma/2 under -beta*Phi <= alpha*gamma",
+    "momentum.drift_check": "criterion 09: the linear drift laws of F and B",
+    "conservation.apriori_monitor": "the a priori bound ||u||_H1 + ||v||_H1 <= Phi",
+}
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _referenced_in_package() -> set:
+    """Names the package's own code loads: every ``name`` and ``x.name``
+    read, an imported name counting under its original name."""
+    names = set()
+    for path in (ROOT / "src" / "skdv").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                  and isinstance(n.ctx, ast.Load)}
+        names |= loaded
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                  for a in n.names if (a.asname or a.name) in loaded}
+    return names
+
+
+def test_public_functions_have_a_caller():
+    # an exported function that only its own tests reach must either check
+    # a claim of the paper or go
+    in_package = _referenced_in_package()
+    bench = "\n".join(p.read_text() for p in (ROOT / "bench").glob("*.py"))
+    orphans = []
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        layer = name.split(".")[1]
+        for attr in module.__all__:
+            qualified = f"{layer}.{attr}"
+            if (isinstance(getattr(module, attr), FunctionType) and attr not in in_package
+                    and not re.search(rf"\b{re.escape(qualified)}\b", bench)
+                    and qualified not in PAPER_CHECKS):
+                orphans.append(qualified)
+    assert not orphans, f"exported functions with no caller outside the tests: {orphans}"
+    for qualified in PAPER_CHECKS:
+        layer, attr = qualified.split(".")
+        assert attr in importlib.import_module(f"skdv.{layer}").__all__, qualified

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from skdv.integrator import BlowUpError, StepperConfig, dispersion_step, run
+from skdv.integrator import (
+    BlowUpError,
+    StepperConfig,
+    _disperse,
+    _dispersion_factors,
+    _Work,
+    run,
+)
 from skdv.model import InitialData, ModelParams, SystemState, make_initial_data
 from skdv.spectral import (
     ComplexField,
@@ -39,14 +46,11 @@ class TestDispersionStep:
         k = 2.0 * np.pi * 4 / 64.0
         u = np.exp(1j * k * grid.x)
         v = np.cos(k * grid.x)
-        out = dispersion_step(_state(grid, u, v), 0.3)
-        assert np.max(np.abs(out.u.samples - u * np.exp(-1j * k**2 * 0.3))) < 1e-12
+        work = _Work(_state(grid, u, v))
+        _disperse(work, _dispersion_factors(grid, 0.3))
+        assert np.max(np.abs(work.u - u * np.exp(-1j * k**2 * 0.3))) < 1e-12
         exact_v = np.cos(k * (grid.x + k**2 * 0.3))
-        assert np.max(np.abs(out.v.samples - exact_v)) < 1e-12
-
-    def test_time_advances(self, grid):
-        out = dispersion_step(_state(grid, np.zeros(256, complex), np.zeros(256), 1.0), 0.5)
-        assert out.time == pytest.approx(1.5)
+        assert np.max(np.abs(work.v.real - exact_v)) < 1e-12
 
 
 class TestRun:

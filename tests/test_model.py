@@ -78,10 +78,11 @@ class TestInitialData:
 
 
 def u_nonlinearity(state, params):
-    """-i*(alpha*u*v + beta*u*|u|^2), both products dealiased."""
+    """-i*(alpha*u*v + beta*u*|u|^2), every product dealiased; the cubic is
+    u times the quadratic |u|^2."""
     grid, u, v = state.grid, state.u.samples, state.v.samples
     uv = dealiased_product_samples(grid, [u, v])
-    cubic = dealiased_product_samples(grid, [u, u, np.conj(u)])
+    cubic = dealiased_product_samples(grid, [u, dealiased_product_samples(grid, [u, np.conj(u)])])
     return -1j * (params.alpha * uv + params.beta * cubic)
 
 

@@ -235,36 +235,19 @@ class TestDealiasedProduct:
         exact = np.sin(10.0 * grid.x) * np.sin(12.0 * grid.x)
         assert np.max(np.abs(out - exact)) < 1e-12
 
-    def test_cubic_no_alias(self):
-        # k0 = 16, N = 64: the 3*k0 = 48 harmonic aliases onto -16 in a
-        # naive pointwise cube, contaminating the k0 mode itself
-        grid = SpectralGrid(64, np.pi)
-        k0 = 16.0
-        f = np.cos(k0 * grid.x)
-        out = dealiased_product_samples(grid, [f, f, f])
-        # cos^3 = (3 cos k0 x + cos 3 k0 x)/4; the 3k0 mode exceeds the band
-        # and is truncated, the k0 part must be exact
-        hat = np.fft.fft(out) / 64
-        assert hat[16].real == pytest.approx(3.0 / 8.0, abs=1e-12)
-        naive = np.fft.fft(f**3) / 64
-        assert abs(naive[16].real - 3.0 / 8.0) > 0.1  # aliasing really occurs
-
     def test_factor_count(self):
         grid = SpectralGrid(32, 4.0)
-        with pytest.raises(ValueError):
-            dealiased_product_samples(grid, [np.ones(32)])
-        with pytest.raises(ValueError):
-            dealiased_product_samples(grid, [np.ones(32)] * 4)
+        for count in (1, 3, 4):
+            with pytest.raises(ValueError):
+                dealiased_product_samples(grid, [np.ones(32)] * count)
 
     def test_samples_variant_matches(self):
         # real factors give a real product up to round-off, so the real
         # part is the product of real fields
         grid = SpectralGrid(64, 8.0)
         rng = np.random.default_rng(1)
-        for factors in ([rng.standard_normal(64) for _ in range(2)],
-                        [rng.standard_normal(64) for _ in range(3)]):
-            out = dealiased_product_samples(grid, factors)
-            assert np.max(np.abs(out.imag)) <= 1e-12 * np.max(np.abs(out.real))
+        out = dealiased_product_samples(grid, [rng.standard_normal(64) for _ in range(2)])
+        assert np.max(np.abs(out.imag)) <= 1e-12 * np.max(np.abs(out.real))
 
     def test_repeated_factor_bit_identical(self):
         # a factor passed twice is upsampled once; the product must equal,
@@ -274,13 +257,11 @@ class TestDealiasedProduct:
         w = rng.standard_normal(128)
         u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
 
-        assert np.all(
-            dealiased_product_samples(grid, [w, w]) == literal_product(grid, [w, w.copy()]))
-        cubic = [u, u, np.conj(u)]
-        assert np.all(dealiased_product_samples(grid, cubic) == literal_product(grid, cubic))
+        for f in (w, u):
+            assert np.all(
+                dealiased_product_samples(grid, [f, f]) == literal_product(grid, [f, f.copy()]))
 
-    CASES = ["real_2", "complex_2", "mixed_2", "real_3", "complex_3", "repeated_2",
-             "repeated_3", "first_last", "last_two", "all_three"]
+    CASES = ["real_2", "complex_2", "mixed_2", "repeated_2"]
 
     @pytest.mark.parametrize("case, n", [pytest.param(c, 128, id=c) for c in CASES]
                              + [pytest.param(c, 8192, id=f"{c}-8192") for c in CASES])
@@ -289,13 +270,10 @@ class TestDealiasedProduct:
         # upsampled factor multiplies
         grid = SpectralGrid(n, 8.0)
         rng = np.random.default_rng(5)
-        a, b, c = (rng.standard_normal(n) for _ in range(3))
+        a, b = (rng.standard_normal(n) for _ in range(2))
         z, y = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
         factors = {
-            "real_2": [a, b], "complex_2": [z, y], "mixed_2": [a, z],
-            "real_3": [a, b, c], "complex_3": [z, y, np.conj(z)],
-            "repeated_2": [a, a], "repeated_3": [z, z, np.conj(z)],
-            "first_last": [z, a, z], "last_two": [a, z, z], "all_three": [z, z, z],
+            "real_2": [a, b], "complex_2": [z, y], "mixed_2": [a, z], "repeated_2": [a, a],
         }[case]
         literal = literal_product(grid, factors)
         assert dealiased_product_samples(grid, factors).tobytes() == literal.tobytes()
@@ -307,10 +285,11 @@ class TestDealiasedProduct:
         buf = np.empty(64, dtype=np.complex128)
         assert dealiased_product_samples(grid, [a, b], out=buf) is buf
         assert buf.tobytes() == dealiased_product_samples(grid, [a, b]).tobytes()
-        # out may be one of the factors
-        z = a + 1j * b
-        want = dealiased_product_samples(grid, [z, b, z])
-        assert dealiased_product_samples(grid, [z, b, z], out=z).tobytes() == want.tobytes()
+        # out may be one of the factors, also one given twice
+        for factors in ([a + 1j * b, b], [a + 1j * b] * 2):
+            want = dealiased_product_samples(grid, factors)
+            got = dealiased_product_samples(grid, factors, out=factors[0])
+            assert got is factors[0] and got.tobytes() == want.tobytes()
 
     def test_padded_middle_stays_zero(self):
         # a full-band product, whose fine-grid spectrum fills every mode,
@@ -318,7 +297,7 @@ class TestDealiasedProduct:
         grid = SpectralGrid(64, np.pi)
         rng = np.random.default_rng(7)
         noise = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        dealiased_product_samples(grid, [noise, noise, np.conj(noise)])
+        dealiased_product_samples(grid, [noise, np.conj(noise)])
         narrow = [np.sin(3.0 * grid.x), np.cos(5.0 * grid.x)]
         fresh = dealiased_product_samples(SpectralGrid(64, np.pi), narrow)
         assert dealiased_product_samples(grid, narrow).tobytes() == fresh.tobytes()
@@ -327,18 +306,18 @@ class TestDealiasedProduct:
         rng = np.random.default_rng(8)
         cases = [(SpectralGrid(n, 8.0), [rng.standard_normal(n) for _ in range(3)])
                  for n in (64, 128)]
-        separate = [[dealiased_product_samples(SpectralGrid(g.num_points, 8.0), fs[:k])
-                     for k in (2, 3)] for g, fs in cases]
+        separate = [[dealiased_product_samples(SpectralGrid(g.num_points, 8.0), fs[k : k + 2])
+                     for k in (0, 1)] for g, fs in cases]
         interleaved = [[], []]
-        for k in (2, 3):
+        for k in (0, 1):
             for i, (g, fs) in enumerate(cases):
-                interleaved[i].append(dealiased_product_samples(g, fs[:k]))
+                interleaved[i].append(dealiased_product_samples(g, fs[k : k + 2]))
         for got, want in zip(interleaved, separate):
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.sampled_from([64, 256, 8192]), seed=st.integers(0, 2**32 - 1),
-           picks=st.lists(st.integers(0, 4), min_size=2, max_size=3))
+           picks=st.lists(st.integers(0, 4), min_size=2, max_size=2))
     def test_random_factor_lists(self, n, seed, picks):
         # picks 0 and 1 draw a fresh real or complex factor, 2 to 4 repeat
         # an earlier factor object (a fresh real one if there is none yet)

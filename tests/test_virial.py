@@ -13,7 +13,6 @@ from skdv.virial import (
     check_key_identities,
     functional_J2,
     functional_J3,
-    phase_current_rate,
     weight_derivative_bounds,
     weight_g,
     weight_g1,
@@ -186,30 +185,3 @@ class TestKeyIdentities:
         )
         with pytest.raises(ValueError):
             check_key_identities(state, ModelParams(0.0, 1.0, 1.0))
-
-
-class TestPhaseCurrentRate:
-    def test_against_finite_difference(self):
-        """The spatial expression for d/dt Im(u conj(u_x)) must match a
-        centered difference of that density along a short simulation."""
-        from skdv.integrator import StepperConfig, run
-        from skdv.spectral import derivative_samples
-
-        grid = SpectralGrid(512, 32.0)
-        params = ModelParams(1.0, 1.0, 1.0)
-        state0 = make_initial_data(
-            InitialData(family="gaussian", amplitude_u=0.5, amplitude_v=0.4,
-                        width_u=2.0, width_v=2.0), grid
-        )
-        dt = 1e-4
-        res = run(state0, StepperConfig(dt=dt, t_end=4 * dt, snapshot_stride=1), params)
-        snaps = res.snapshots
-
-        def density(s):
-            ux = derivative_samples(grid, s.u.samples, 1)
-            return np.imag(s.u.samples * np.conj(ux))
-
-        fd = (density(snaps[3]) - density(snaps[1])) / (2.0 * dt)
-        rate = phase_current_rate(snaps[2], params)
-        scale = np.max(np.abs(rate))
-        assert np.max(np.abs(fd - rate)) < 1e-5 * scale
