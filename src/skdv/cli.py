@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import math
 import sys
@@ -180,20 +179,15 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _open_csv(path: Path, config_hash: str, header: list[str]):
+    """The file at ``path`` with its config line and header written, and a
+    function writing one row of numbers to it: each as ``%.17g`` (so
+    booleans read 1 and 0), comma-separated, each row ending in CRLF."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fh = open(path, "w", newline="")
     fh.write(f"# config={config_hash}\n")
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    return fh, writer
-
-
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+    fh.write(",".join(header) + "\r\n")
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    return fh, lambda *values: fh.write(row % values)
 
 
 def _checked(fn, *args):
@@ -247,7 +241,7 @@ def _cmd_run(cfg: RunConfig) -> int:
     power = 2.0 + cfg.power_exponent
 
     def virial_row(entry, residuals=(np.nan,) * 3):
-        w_v.writerow(map(_fmt, [entry.time, entry.j2, entry.j3, *residuals]))
+        w_v(entry.time, entry.j2, entry.j3, *residuals)
 
     def residual_columns():
         """prop2, prop3 and combined residuals at the window's centre; nan
@@ -269,8 +263,7 @@ def _cmd_run(cfg: RunConfig) -> int:
 
         inv = conservation.invariant_sample(s, params)
         margin = phi - (inv.u_h1 + inv.v_h1) if np.isfinite(phi) else np.nan
-        w_i.writerow(map(_fmt, [s.time, inv.mass, inv.q_momentum, inv.energy,
-                                inv.u_h1, inv.v_h1, margin]))
+        w_i(s.time, inv.mass, inv.q_momentum, inv.energy, inv.u_h1, inv.v_h1, margin)
 
         clipped = False
         if s.time > 0:
@@ -290,20 +283,17 @@ def _cmd_run(cfg: RunConfig) -> int:
             )
         acc = [accumulators[tag].value for tag in
                ("mixed_kdv", "schrodinger_coupling", "gradient_u", "gradient_v", "quartic_u")]
-        w_d.writerow(map(_fmt, [
-            s.time, cfg.window.exponent, cfg.window.center_exponent,
+        w_d(s.time, cfg.window.exponent, cfg.window.center_exponent,
             kinds["mixed"], kinds["coupling"], kinds["grad_u"], kinds["grad_v"],
-            e_uk, e_vk, *acc,
-        ]))
+            e_uk, e_vk, *acc)
 
         bmass = decay.boundary_mass(s)
         ms = momentum.moment_sample(s, params, slope, boundary=bmass)
-        w_m.writerow(map(_fmt, [s.time, ms.b_moment, ms.u_moment,
-                                ms.f_moment, ms.predicted_slope_f]))
+        w_m(s.time, ms.b_moment, ms.u_moment, ms.f_moment, ms.predicted_slope_f)
 
         boundary_hit = boundary_hit or bmass > decay.BOUNDARY_TOLERANCE
         if flags_row is not None:
-            w_f.writerow(map(_fmt, flags_row))
+            w_f(*flags_row)
         flags_row = [s.time, bmass, False, clipped]
 
     blowup_time = None
@@ -316,7 +306,7 @@ def _cmd_run(cfg: RunConfig) -> int:
         for entry in list(window)[-2:]:
             virial_row(entry)
         flags_row[2] = blowup_time is not None  # the last finite snapshot
-        w_f.writerow(map(_fmt, flags_row))
+        w_f(*flags_row)
     finally:
         for fh in (fh_i, fh_v, fh_d, fh_m, fh_f):
             fh.close()

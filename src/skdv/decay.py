@@ -17,7 +17,7 @@ import numpy as np
 from .conservation import SmallnessReport
 from .model import ModelParams, SystemState
 from .spectral import integrate
-from .virial import VirialConfig, Weights
+from .virial import VirialConfig, Weights, weight_g
 
 __all__ = [
     "WindowSpec",
@@ -228,7 +228,10 @@ def weighted_accumulator_step(
     if t < 2:
         raise ValueError(f"accumulators are defined for t >= 2, got {t}")
     grid = state.grid
-    weight = (weights if weights is not None else Weights(grid, config, t)).wpg
+    if weights is not None:
+        weight = weights.wpg
+    else:
+        weight = weight_g(grid.x / config.lambda1(t)) * weight_g(grid.x / config.lambda2(t))
     power = 2.0 + power_exponent
     for tag, acc in accumulators.items():
         dens = _DENSITIES[_ACCUMULATED[tag]](state.u, state.v, params, power, slice(None))

@@ -65,35 +65,42 @@ class RunResult:
     snapshots: list = dc_field(default_factory=list)
 
 
-def _dispersion_factors(grid, dt: float):
+def _dispersion_factors(grid, dt: float) -> np.ndarray:
+    """The (2, N) free-evolution factors of u and v over dt, stacked like
+    the rows of ``_Work.uv``."""
     k = grid.wavenumbers
-    return np.exp(-1j * k**2 * dt), np.exp(1j * k**3 * dt)
+    return np.stack([np.exp(-1j * k**2 * dt), np.exp(1j * k**3 * dt)])
 
 
 class _Work:
-    """The arrays a run steps in, allocated once: the current u and v (v as
-    a complex array, real part v), which the dispersion steps transform in
-    place and the nonlinear substep advances; the flux spectrum (which also
-    takes conj(u), the dealiased products and the phase), gamma*|u|^2, the
-    RK4 stage argument, the running RK4 sum (then the new v) and the latest
-    RK4 stage."""
+    """The arrays a run steps in, allocated once: the current u and v as the
+    two rows of one (2, N) complex array ``uv`` (v's row with real part v),
+    which the dispersion steps transform in place and the nonlinear substep
+    advances through the row views ``u`` and ``v``; the flux spectrum (which
+    also takes conj(u), the dealiased products and the phase),
+    gamma*|u|^2, the RK4 stage argument, the running RK4 sum (then the new
+    v) and the latest RK4 stage."""
 
     def __init__(self, state: SystemState):
         n = state.grid.num_points
         self.grid = state.grid
-        self.u = state.u.samples.copy()
-        self.v = state.v.samples.astype(np.complex128)
+        self.uv = np.empty((2, n), np.complex128)
+        self.u, self.v = self.uv
+        self.u[...] = state.u.samples
+        self.v[...] = state.v.samples
         self.flux_hat = np.empty(n, np.complex128)
         self.gamma_u_sq, self.stage, self.total, self.k = (np.empty(n) for _ in range(4))
 
 
 def _disperse(work: _Work, factors):
     """Free evolution through ``factors`` from ``_dispersion_factors``, in
-    place: u_hat *= fu, v_hat *= fv.  v keeps the real part only."""
-    for field, f in zip((work.u, work.v), factors):
-        np.fft.fft(field, out=field)
-        field *= f
-        np.fft.ifft(field, out=field)
+    place: one two-row ``fft``, one multiply and one two-row ``ifft`` over
+    u and v, each row bit for bit its one-row transform.  v keeps the real
+    part only."""
+    uv = work.uv
+    np.fft.fft(uv, out=uv)
+    uv *= factors
+    np.fft.ifft(uv, out=uv)
     work.v.imag = 0.0
 
 
@@ -153,6 +160,10 @@ def _nonlinear_substep(work: _Work, dt, params: ModelParams):
     u *= phase
 
 
+def _state(grid, u, v, t) -> SystemState:
+    return SystemState(ComplexField(grid, u), RealField(grid, v), t)
+
+
 def run(
     state0: SystemState,
     config: StepperConfig,
@@ -174,36 +185,37 @@ def run(
     factors = _dispersion_factors(grid, 0.5 * dt if strang else dt)
 
     result = RunResult(final_state=state0)
-    if keep_snapshots:
-        result.snapshots.append(state0)
-    if on_snapshot is not None:
-        on_snapshot(state0)
 
-    # each new state copies its arrays out of the work set, so no state
-    # handed out shares memory with the work arrays or with another state
+    def hand_out(state):
+        if keep_snapshots:
+            result.snapshots.append(state)
+        if on_snapshot is not None:
+            on_snapshot(state)
+
+    hand_out(state0)
+
+    # each step's arrays are copied out of the work set, and a state is
+    # built only for a step handed out (a snapshot, the final step, or the
+    # last finite step of a blow-up), so no state shares memory with the
+    # work arrays or with a state of another step.  Unless it keeps them,
+    # the run holds no snapshot past its callback, so the arrays a callback
+    # cached on a snapshot are freed once the callback lets it go.
     work = _Work(state0)
+    u = v = None  # the arrays of the last finite step, at time t
     for step in range(1, n_steps + 1):
         _disperse(work, factors)
         _nonlinear_substep(work, dt, params)
         if strang:
             _disperse(work, factors)
-        u, v = work.u.copy(), work.v.real.copy()
-        t = state0.time + step * dt
 
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise BlowUpError(f"non-finite values at t={t:g}", t, result)
-
-        state = SystemState(ComplexField(grid, u), RealField(grid, v), t)
-        result.final_state = state
+        t_step = state0.time + step * dt
+        if not np.isfinite(work.uv).all():
+            if u is not None:
+                result.final_state = _state(grid, u, v, t)
+            raise BlowUpError(f"non-finite values at t={t_step:g}", t_step, result)
+        u, v, t = work.u.copy(), work.v.real.copy(), t_step
         if step % config.snapshot_stride == 0 or step == n_steps:
-            if keep_snapshots:
-                result.snapshots.append(state)
-            if on_snapshot is not None:
-                on_snapshot(state)
-                # a state of its own from here on, so that the arrays the
-                # callback cached on the snapshot are freed once it lets the
-                # snapshot go, not held through the next step
-                state = result.final_state = SystemState(
-                    ComplexField(grid, u), RealField(grid, v), t)
+            hand_out(_state(grid, u, v, t))
 
+    result.final_state = _state(grid, u, v, t)
     return result

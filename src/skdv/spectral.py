@@ -206,17 +206,14 @@ def _keep_fft_scratch_resident() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _product_work(grid: SpectralGrid):
-    """The work arrays of ``dealiased_product_samples`` on ``grid``, built on
-    first use: the 2N padded spectrum, whose middle is zero and never
-    written, and the two 2N fine buffers.  A grid with N >= 8192 first makes
-    the FFT scratch stay resident."""
+def _product_work(grid: SpectralGrid) -> np.ndarray:
+    """The work array of ``dealiased_product_samples`` on ``grid``, built on
+    first use: two 2N fine rows, one per distinct factor.  A grid with
+    N >= 8192 first makes the FFT scratch stay resident."""
     if grid._product_work is None:
         if grid.num_points >= _RESIDENT_SCRATCH_MIN_N:
             _keep_fft_scratch_resident()
-        fine_n = 2 * grid.num_points
-        grid._product_work = (np.zeros(fine_n, np.complex128),
-                              tuple(np.empty(fine_n, np.complex128) for _ in range(2)))
+        grid._product_work = np.empty((2, 2 * grid.num_points), np.complex128)
     return grid._product_work
 
 
@@ -230,29 +227,36 @@ def dealiased_product_samples(
     Each factor is interpolated onto the 2x grid (its spectrum zero-padded,
     the Nyquist coefficient split in half, times 2), the two are multiplied
     there, and the product is truncated back to N modes (times 1/2, the two
-    Nyquist halves summed).  A factor given twice (the same array object) is
-    interpolated once.  All of it runs in the grid's work arrays, built on
-    the first call, so a later call allocates nothing but a fresh ``out``.
+    Nyquist halves summed).  Each factor fills one 2N fine row: its N-point
+    spectrum is taken in the row's first half and padded in place, two
+    distinct factors together in one two-row N-point ``fft`` and one two-row
+    2N-point ``ifft`` (each row bit for bit a one-row transform).  A factor
+    given twice (the same array object) is interpolated once, in one row.
+    All of it runs in the grid's work array, built on the first call, so a
+    later call allocates nothing but a fresh ``out``.
     """
     if len(factors) != 2:
         raise ValueError(f"dealiased product takes 2 factors, got {len(factors)}")
     n = grid.num_points
     fine_n, half = 2 * n, n // 2
-    padded, fine = _product_work(grid)
-    distinct = factors[:1] if factors[1] is factors[0] else factors
-    for f, up in zip(distinct, fine):
-        # the N-point spectrum is formed in the first half of the fine
-        # buffer that the interpolated factor then fills
-        spectrum = up[:n]
-        spectrum[...] = f
-        np.fft.fft(spectrum, out=spectrum)
-        padded[:half] = spectrum[:half]
-        padded[fine_n - half + 1 :] = spectrum[half + 1 :]
-        padded[half] = padded[fine_n - half] = 0.5 * spectrum[half]
-        np.fft.ifft(padded, out=up)
-        up *= 2
+    fine = _product_work(grid)
+    if factors[1] is factors[0]:
+        fine = fine[:1]
+    for f, row in zip(factors, fine):
+        row[:n] = f
+    spectra = fine[:, :n]
+    np.fft.fft(spectra, out=spectra)
+    # the padded spectrum, in place: the upper modes move to the top of the
+    # row, the Nyquist coefficient is split between the two ends, and the
+    # middle, which the last call left full, is zeroed
+    fine[:, fine_n - half + 1 :] = fine[:, half + 1 : n]
+    fine[:, half] *= 0.5
+    fine[:, fine_n - half] = fine[:, half]
+    fine[:, half + 1 : fine_n - half] = 0.0
+    np.fft.ifft(fine, out=fine)
+    fine *= 2
     product = fine[0]
-    np.multiply(product, fine[len(distinct) - 1], out=product)
+    np.multiply(product, fine[-1], out=product)
 
     # truncated in place: the first N entries become the N-point spectrum
     np.fft.fft(product, out=product)

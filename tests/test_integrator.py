@@ -122,6 +122,27 @@ class TestRun:
         assert [s.time for s in exc.result.snapshots] == pytest.approx(
             np.arange(0.0, exc.time, 0.5))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_keeps_last_finite_step_between_snapshots(self):
+        # the last finite step is handed out as the final state although it
+        # is no snapshot, and only the strided snapshots before it are kept
+        # (this data blows up at step 7; dt is a power of two, so the
+        # times are exact)
+        grid = SpectralGrid(64, 8.0)
+        u = 10.0 * np.exp(-grid.x**2) * (1.0 + 0j)
+        v = -10.0 * np.exp(-grid.x**2)
+        dt, stride = 0.0625, 4
+        with pytest.raises(BlowUpError) as info:
+            run(_state(grid, u, v), StepperConfig(dt=dt, t_end=50.0, snapshot_stride=stride),
+                ModelParams(1.0, 0.0, 0.0))
+        exc = info.value
+        last = exc.result.final_state
+        assert last.time == exc.time - dt
+        assert round(last.time / dt) % stride != 0
+        assert np.all(np.isfinite(last.u.samples)) and np.all(np.isfinite(last.v.samples))
+        assert [s.time for s in exc.result.snapshots] == pytest.approx(
+            np.arange(0.0, exc.time, stride * dt))
+
 
 def literal_run(state, dt, n_steps, scheme, params):
     """The stepper as first written, allocating every array: the literal
@@ -224,22 +245,30 @@ class TestWorkArrays:
         _, v = literal_run(state0, dt, 20, scheme, self.PARAMS)
         assert res.final_state.v.samples.tobytes() == v.tobytes()
 
-    @pytest.mark.parametrize("scheme, calls", [("strang", 38), ("lie", 34)])
-    def test_fft_calls_per_step(self, state0, monkeypatch, scheme, calls):
+    # the id names the rows transformed per step, which pairing rows into
+    # two-row calls leaves as they were
+    @pytest.mark.parametrize("scheme, calls, rows", [
+        pytest.param("strang", 32, 38, id="strang-38"),
+        pytest.param("lie", 30, 34, id="lie-34"),
+    ])
+    def test_fft_calls_per_step(self, state0, monkeypatch, scheme, calls, rows):
         # counted through the public numpy.fft functions, the ones the
-        # benchmark's tracer wraps
-        counts = {}
+        # benchmark's tracer wraps; a call transforms one row per entry of
+        # its input's leading dimensions
+        counts, row_count = {}, [0]
         for name in ("fft", "ifft", "rfft", "irfft"):
             original = getattr(np.fft, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
+            def counted(a, *args, _name=name, _original=original, **kwargs):
                 counts[_name] = counts.get(_name, 0) + 1
-                return _original(*args, **kwargs)
+                row_count[0] += int(np.prod(np.shape(a)[:-1]))
+                return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
         cfg = StepperConfig(dt=1e-2, t_end=0.05, scheme=scheme)
         run(state0, cfg, self.PARAMS)
         assert sum(counts.values()) == 5 * calls
+        assert row_count[0] == 5 * rows
         assert set(counts) == {"fft", "ifft"}
 
 

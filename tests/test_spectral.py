@@ -365,6 +365,35 @@ class TestDealiasedProduct:
         assert int(out) < 20
 
 
+class TestMultiRowTransforms:
+    """The stepper and the dealiased product pair independent transforms
+    into one multi-row ``numpy.fft`` call; that changes no bit only while
+    each row of such a call equals the one-row transform of that row."""
+
+    @pytest.mark.parametrize("n", [64, 1024, 8192, 16384])
+    @pytest.mark.parametrize("rows", [2, 3])
+    @pytest.mark.parametrize("layout", ["contiguous", "in_place", "column_slice"])
+    @pytest.mark.parametrize("transform", ["fft", "ifft"])
+    def test_rows_match_one_row_calls(self, n, rows, layout, transform):
+        rng = np.random.default_rng(n + rows)
+        data = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        fn = getattr(np.fft, transform)
+        want = [fn(row).tobytes() for row in data]
+        if layout == "contiguous":
+            got = fn(data)
+        elif layout == "in_place":
+            got = data.copy()
+            fn(got, out=got)
+        else:
+            # the first half of 2n-point rows, transformed in place, as the
+            # dealiased product takes its factors' spectra
+            fine = np.zeros((rows, 2 * n), dtype=np.complex128)
+            got = fine[:, :n]
+            got[...] = data
+            fn(got, out=got)
+        assert [row.tobytes() for row in got] == want
+
+
 class TestResampling:
     def test_upsample_roundtrip(self):
         grid = SpectralGrid(64, 8.0)
