@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import math
 import sys
 from collections import deque
@@ -21,6 +20,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+# The interpreter's built-in SHA-256: ``hashlib`` would load OpenSSL's
+# libcrypto (3.6-3.8 MB resident on Linux) for one digest of a few hundred
+# bytes.  The digest is the same either way.
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import conservation, decay, experiments, momentum, virial
 from .integrator import BlowUpError, StepperConfig, run as run_integrator
@@ -95,7 +105,7 @@ def load_config(path: str | Path) -> RunConfig:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    digest = sha256(text.encode()).hexdigest()
 
     parser = configparser.ConfigParser()
     try:
@@ -199,6 +209,17 @@ def _checked(fn, *args):
         raise ConfigError(str(exc)) from exc
 
 
+# (decay.csv column, accumulator tag): the accumulators `skdv run` advances,
+# in the order of their columns
+_ACC_COLUMNS = (
+    ("acc_mixed", "mixed_kdv"),
+    ("acc_coupling", "schrodinger_coupling"),
+    ("acc_gradu", "gradient_u"),
+    ("acc_gradv", "gradient_v"),
+    ("acc_quartic", "quartic_u"),
+)
+
+
 def _initial_state(cfg: RunConfig) -> SystemState:
     """The configured initial state.  Data with a boundary tail above
     decay.BOUNDARY_TOLERANCE, or a nonpositive width or soliton speed, is a
@@ -218,7 +239,7 @@ def _cmd_run(cfg: RunConfig) -> int:
     c_gn = conservation.estimate_gn_constant(cfg.grid)
     phi = (conservation.phi_smallness(h1_norm(state0.u), h1_norm(state0.v), params, c_gn).phi
            if params.full_regime else np.nan)
-    accumulators = decay.make_accumulators()
+    accumulators = {tag: decay.AccumulatorState(tag) for _, tag in _ACC_COLUMNS}
 
     out = cfg.output_dir
     fh_i, w_i = _open_csv(out / "invariants.csv", cfg.config_hash,
@@ -227,8 +248,8 @@ def _cmd_run(cfg: RunConfig) -> int:
                           ["t", "J2", "J3", "res_prop2", "res_prop3", "res_combined"])
     fh_d, w_d = _open_csv(out / "decay.csv", cfg.config_hash,
                           ["t", "window_p", "window_m", "E_mixed", "E_coupling",
-                           "E_gradu", "E_gradv", "E_uk", "E_vk", "acc_mixed",
-                           "acc_coupling", "acc_gradu", "acc_gradv", "acc_quartic"])
+                           "E_gradu", "E_gradv", "E_uk", "E_vk",
+                           *(column for column, _ in _ACC_COLUMNS)])
     fh_m, w_m = _open_csv(out / "moments.csv", cfg.config_hash,
                           ["t", "B", "Umom", "F", "predicted_slope"])
     fh_f, w_f = _open_csv(out / "flags.csv", cfg.config_hash,
@@ -281,8 +302,7 @@ def _cmd_run(cfg: RunConfig) -> int:
             decay.weighted_accumulator_step(
                 s, vcfg, params, accumulators, cfg.power_exponent, weights=wt
             )
-        acc = [accumulators[tag].value for tag in
-               ("mixed_kdv", "schrodinger_coupling", "gradient_u", "gradient_v", "quartic_u")]
+        acc = [a.value for a in accumulators.values()]
         w_d(s.time, cfg.window.exponent, cfg.window.center_exponent,
             kinds["mixed"], kinds["coupling"], kinds["grad_u"], kinds["grad_v"],
             e_uk, e_vk, *acc)

@@ -2,11 +2,19 @@
 
 import configparser
 import gc
+import hashlib
+import os
+import re
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skdv
 from skdv import cli, conservation, decay, experiments, momentum, virial
 from skdv.cli import (
     EXIT_BLOWUP,
@@ -201,6 +209,39 @@ class TestLoadConfig:
         path, _ = _write_config(tmp_path, text)
         with pytest.raises(ConfigError, match=r"\[initial\] family"):
             load_config(path)
+
+    README_CONFIG = re.search(r"```ini\n(.*?)```",
+                              (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+                              re.S).group(1)
+
+    @pytest.mark.parametrize("text", [
+        README_CONFIG,
+        "# Schr\u00f6dinger\u2013KdV, \u03b1 = 1, \u00b5-scale\n" + BASE_CONFIG.format(out="out"),
+    ], ids=["readme", "non-ascii-comment"])
+    def test_config_hash_is_sha256_of_the_text(self, tmp_path, text):
+        path, _ = _write_config(tmp_path, text)
+        assert load_config(path).config_hash == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_run_loads_no_openssl(self, tmp_path):
+        # the digest comes from the interpreter's own SHA-256, so a run never
+        # maps OpenSSL's libcrypto through hashlib; a fresh process, because
+        # this one may have loaded it for other reasons
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "n = 256\nl = 32.0", "n = 64\nl = 16.0")
+        path, out = _write_config(tmp_path, text)
+        script = textwrap.dedent(f"""
+            import sys
+            from skdv import cli
+            assert cli.main(["run", {str(path)!r}]) == 0
+            print("_hashlib" in sys.modules)
+        """)
+        src = os.path.dirname(os.path.dirname(skdv.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        printed = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+        assert (out / "decay.csv").exists()
+        assert printed.splitlines()[-1] == "False"
 
     def test_seed_key_rejected(self, tmp_path):
         # nothing in a run is random, so a seed would be parsed and ignored
