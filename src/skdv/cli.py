@@ -236,8 +236,8 @@ def _cmd_run(cfg: RunConfig) -> int:
     _checked(vcfg.theta3_value, params)
     state0 = _initial_state(cfg)
     slope = _checked(momentum.predicted_slope, state0, params)
-    c_gn = conservation.estimate_gn_constant(cfg.grid)
-    phi = (conservation.phi_smallness(h1_norm(state0.u), h1_norm(state0.v), params, c_gn).phi
+    phi = (conservation.phi_smallness(h1_norm(state0.u), h1_norm(state0.v), params,
+                                      conservation.estimate_gn_constant(cfg.grid)).phi
            if params.full_regime else np.nan)
     accumulators = {tag: decay.AccumulatorState(tag) for _, tag in _ACC_COLUMNS}
 
@@ -268,11 +268,10 @@ def _cmd_run(cfg: RunConfig) -> int:
         """prop2, prop3 and combined residuals at the window's centre; nan
         under 5 snapshots, after an uneven last stride or before t = 2."""
         try:
-            r2, r3 = virial.window_residuals(window)
+            r2, r3, combined = virial.window_residuals(window, vcfg)
         except ValueError:
             return (np.nan,) * 3
-        return r2.residual, r3.residual, (
-            r2.residual + r3.residual if vcfg.theta3 == "auto" else np.nan)
+        return r2.residual, r3.residual, np.nan if combined is None else combined.residual
 
     def on_snapshot(s):
         nonlocal written, boundary_hit, flags_row

@@ -49,13 +49,13 @@ class InvariantSample:
 
 def mass(state: SystemState) -> float:
     """M = int |u|^2 dx."""
-    return float(integrate(state.u.abs_sq, state.grid))
+    return integrate(state.u.abs_sq, state.grid)
 
 
 def q_momentum(state: SystemState, params: ModelParams) -> float:
     """Q = int alpha*v^2 + 2*gamma*Im(u * conj(u_x)) dx."""
     dens = params.alpha * state.v.abs_sq + 2.0 * params.gamma * np.imag(state.u.times_conj_dx)
-    return float(integrate(dens, state.grid))
+    return integrate(dens, state.grid)
 
 
 def energy(state: SystemState, params: ModelParams) -> float:
@@ -66,10 +66,10 @@ def energy(state: SystemState, params: ModelParams) -> float:
         a * g * v.samples * u.abs_sq
         - (a / 6.0) * v.cube
         + (b * g / 2.0) * u.abs_fourth
-        + (a / 2.0) * v.dx_sq
+        + (a / 2.0) * v.dx_abs_sq
         + g * u.dx_abs_sq
     )
-    return float(integrate(dens, state.grid))
+    return integrate(dens, state.grid)
 
 
 def invariant_sample(state: SystemState, params: ModelParams) -> InvariantSample:
@@ -87,27 +87,29 @@ def _interpolation_ratio(grid: SpectralGrid, samples: np.ndarray) -> float:
     """||f||_L4 / (||f'||^(1/4) ||f||^(3/4)), the interpolation inequality
     used by the smallness analysis."""
     l2 = float(np.sqrt(integrate(samples**2, grid)))
-    dl2 = float(np.sqrt(integrate(derivative_samples(grid, samples, 1).real ** 2, grid)))
+    dl2 = float(np.sqrt(integrate(derivative_samples(grid, samples).real ** 2, grid)))
     if l2 == 0.0 or dl2 == 0.0:
         return 0.0
-    lp = float(integrate(samples**4, grid)) ** 0.25
+    lp = integrate(samples**4, grid) ** 0.25
     return lp / (dl2**0.25 * l2**0.75)
 
 
 def estimate_gn_constant(grid: SpectralGrid) -> float:
-    """Lower estimate of the optimal L4 interpolation constant by maximizing
-    the ratio over Gaussian, sech and sech^2 profiles with 25 widths swept
-    log-uniformly over [1/4, 8].
-
-    Deterministic given the sweep grid; the returned value is a certified
-    lower bound of the supremum (the true optimal constant is >= this).
+    """Estimate of the optimal L4 interpolation constant: the largest ratio
+    over Gaussian, sech and sech^2 profiles with 25 widths swept
+    log-uniformly over [1/4, 8] (far out, cosh overflows and 1/inf = 0 is
+    the exact limit).  Not a bound: on under-resolved grids it exceeds the
+    sharp constant 3^(-1/8) = 0.8716855, e.g. 0.8954269 on (N, L) = (256, 16)
+    and 0.8880839 on (8192, 1024).  It stays as it is because the ``margin``
+    column of ``skdv run`` and ``check-smallness`` depend on it.
     """
     x = grid.x
     best = 0.0
-    for profile in (lambda w: np.exp(-((x / w) ** 2)), lambda w: 1.0 / np.cosh(x / w),
-                    lambda w: 1.0 / np.cosh(x / w) ** 2):
-        for w in np.geomspace(0.25, 8.0, 25):
-            best = max(best, _interpolation_ratio(grid, profile(w)))
+    with np.errstate(over="ignore"):
+        for profile in (lambda w: np.exp(-((x / w) ** 2)), lambda w: 1.0 / np.cosh(x / w),
+                        lambda w: 1.0 / np.cosh(x / w) ** 2):
+            for w in np.geomspace(0.25, 8.0, 25):
+                best = max(best, _interpolation_ratio(grid, profile(w)))
     return best
 
 

@@ -84,7 +84,7 @@ _DENSITIES = {
     "mixed": lambda u, v, p, k, c: np.abs(0.5 * v.abs_sq[c] - p.gamma * u.abs_sq[c]),
     "coupling": lambda u, v, p, k, c: u.abs[c] * np.abs(
         p.alpha * v.samples[c] + p.beta * u.abs_sq[c]),
-    "grad_v": lambda u, v, p, k, c: v.dx_sq[c],
+    "grad_v": lambda u, v, p, k, c: v.dx_abs_sq[c],
     "grad_u": lambda u, v, p, k, c: u.dx_abs_sq[c],
     "power_u": lambda u, v, p, k, c: u.abs[c] ** k,
     "power_v": lambda u, v, p, k, c: np.abs(v.samples[c]) ** k,
@@ -235,7 +235,7 @@ def weighted_accumulator_step(
     power = 2.0 + power_exponent
     for tag, acc in accumulators.items():
         dens = _DENSITIES[_ACCUMULATED[tag]](state.u, state.v, params, power, slice(None))
-        integrand = float(integrate(dens * weight, grid)) / t
+        integrand = integrate(dens * weight, grid) / t
         if np.isfinite(acc.last_time):
             if t <= acc.last_time:
                 raise ValueError("accumulator times must be strictly increasing")

@@ -115,8 +115,6 @@ def _nonlinear_substep(work: _Work, dt, params: ModelParams):
     """
     grid, hat, u, v = work.grid, work.flux_hat, work.u, work.v.real
     u_sq = dealiased_product_samples(grid, [u, np.conjugate(u, out=hat)], out=hat).real
-
-    ik = grid.derivative_multiplier(1)
     gamma_term = np.multiply(params.gamma, u_sq, out=work.gamma_u_sq)
 
     def flux(w, k):
@@ -126,7 +124,7 @@ def _nonlinear_substep(work: _Work, dt, params: ModelParams):
         k -= gamma_term
         hat[...] = k
         np.fft.fft(hat, out=hat)
-        np.multiply(ik, hat, out=hat)
+        np.multiply(grid.ik, hat, out=hat)
         np.fft.ifft(hat, out=hat)
         return np.negative(hat.real, out=k)
 

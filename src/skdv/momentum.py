@@ -70,8 +70,8 @@ def moment_sample(
         raise ValueError("the F functional requires gamma != 0")
     grid = state.grid
     x = grid.x
-    b = float(integrate(x * state.v.samples, grid))
-    umom = float(integrate(x * state.u.abs_sq, grid))
+    b = integrate(x * state.v.samples, grid)
+    umom = integrate(x * state.u.abs_sq, grid)
     if boundary is None:
         boundary = boundary_mass(state)
     return MomentSample(

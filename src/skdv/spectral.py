@@ -1,5 +1,5 @@
-"""Periodic spectral discretization: grids, fields, spectral derivatives of
-sample arrays, dealiased products of sample arrays, quadrature and norms.
+"""Periodic spectral discretization: grids, fields, the first spectral
+derivative and dealiased products of sample arrays, quadrature and norms.
 
 The real line is approximated by the periodic box [-L, L).  The quadratic
 products of the stepper, |u|^2 and v^2, are formed on a zero-padded fine
@@ -30,8 +30,9 @@ class SpectralGrid:
     """Uniform periodic grid on [-L, L) with N points (N a power of two, at
     least 2: the dealiased products need a Nyquist mode).
 
-    Exposes the collocation points ``x``, the spacing ``dx = 2L/N`` and the
-    wavenumber table ``k_j = pi*j/L`` in standard FFT ordering.
+    Exposes the collocation points ``x``, the spacing ``dx = 2L/N``, the
+    wavenumber table ``k_j = pi*j/L`` in standard FFT ordering and the
+    first-derivative multiplier ``ik``.
     """
 
     def __init__(self, num_points: int, half_length: float):
@@ -46,18 +47,9 @@ class SpectralGrid:
         self.x = -self.half_length + self.spacing * np.arange(n)
         # k_j = 2*pi*fftfreq = pi*j/L in FFT order
         self.wavenumbers = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
-        # Nyquist mode has no well-defined sign; zero it for odd derivatives
-        self.odd_derivative_mask = np.ones(n)
-        self.odd_derivative_mask[n // 2] = 0.0
-        self._multipliers = {}
+        # the Nyquist mode has no well-defined sign; zero it
+        self.ik = 1j * self.wavenumbers * (np.arange(n) != n // 2)
         self._product_work = None
-
-    def derivative_multiplier(self, order: int) -> np.ndarray:
-        """(ik)^order, Nyquist zeroed for odd orders; built on first use."""
-        if order not in self._multipliers:
-            m = (1j * self.wavenumbers) ** order
-            self._multipliers[order] = m * self.odd_derivative_mask if order % 2 else m
-        return self._multipliers[order]
 
     def __eq__(self, other) -> bool:
         return (
@@ -94,13 +86,8 @@ class _Samples:
 
     @cached_property
     def dx(self) -> np.ndarray:
-        """First derivative, ``derivative_samples(grid, samples, 1)``: complex."""
-        return _read_only(derivative_samples(self.grid, self.samples, 1))
-
-    @cached_property
-    def dx_abs_sq(self) -> np.ndarray:
-        """``np.abs(dx) ** 2``."""
-        return _read_only(np.abs(self.dx) ** 2)
+        """First derivative, ``derivative_samples(grid, samples)``: complex."""
+        return _read_only(derivative_samples(self.grid, self.samples))
 
 
 @dataclass(frozen=True)
@@ -126,9 +113,8 @@ class RealField(_Samples):
         return _read_only(self.samples**3)
 
     @cached_property
-    def dx_sq(self) -> np.ndarray:
-        """``dx.real ** 2``: the square of the real derivative, without the
-        imaginary round-off that ``dx_abs_sq`` keeps."""
+    def dx_abs_sq(self) -> np.ndarray:
+        """``dx.real ** 2``, free of the imaginary round-off of ``dx``."""
         return _read_only(self.dx.real**2)
 
 
@@ -160,6 +146,11 @@ class ComplexField(_Samples):
         return _read_only(self.abs_sq**2)
 
     @cached_property
+    def dx_abs_sq(self) -> np.ndarray:
+        """``np.abs(dx) ** 2``."""
+        return _read_only(np.abs(self.dx) ** 2)
+
+    @cached_property
     def times_conj_dx(self) -> np.ndarray:
         """``samples * np.conj(dx)``."""
         return _read_only(self.samples * np.conj(self.dx))
@@ -168,13 +159,11 @@ class ComplexField(_Samples):
 Field = RealField | ComplexField
 
 
-def derivative_samples(grid: SpectralGrid, samples: np.ndarray, order: int) -> np.ndarray:
-    """Spectral derivative of raw samples; complex output.  The Nyquist
-    mode is zeroed for odd orders, so real samples give a real derivative
-    up to round-off."""
-    if order not in (1, 2, 3):
-        raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
-    return np.fft.ifft(np.fft.fft(samples) * grid.derivative_multiplier(order))
+def derivative_samples(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
+    """First spectral derivative of raw samples; complex output.  The
+    Nyquist mode is zeroed, so real samples give a real derivative up to
+    round-off."""
+    return np.fft.ifft(np.fft.fft(samples) * grid.ik)
 
 
 # numpy.fft allocates a scratch array, 16 bytes a point, on every call.
@@ -266,20 +255,10 @@ def dealiased_product_samples(
     return np.fft.ifft(product[:n], out=out)
 
 
-def integrate(f: Field | np.ndarray, grid: SpectralGrid | None = None):
-    """Rectangle-rule quadrature dx * sum(samples).
-
-    Spectrally accurate for smooth periodic integrands.  Accepts either a
-    field or raw samples with an explicit grid.
-    """
-    if grid is None:
-        grid, samples = f.grid, f.samples
-    else:
-        samples = np.asarray(f)
-    total = grid.spacing * samples.sum()
-    if np.iscomplexobj(samples):
-        return complex(total)
-    return float(total)
+def integrate(samples: np.ndarray, grid: SpectralGrid) -> float:
+    """Rectangle-rule quadrature dx * sum(samples) of real samples;
+    spectrally accurate for smooth periodic integrands."""
+    return grid.spacing * float(samples.sum())
 
 
 def l2_norm(f: Field) -> float:

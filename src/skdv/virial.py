@@ -123,6 +123,10 @@ class VirialConfig:
             return 2.0 * self.theta2 * params.gamma / params.alpha
         return float(self.theta3)
 
+    def coefficient_sum(self, params: ModelParams) -> float:
+        """-2 theta2 gamma + theta3 alpha, the mixed-term coefficient of the summed identity."""
+        return -2.0 * self.theta2 * params.gamma + self.theta3_value(params) * params.alpha
+
     def lambda1(self, t: float) -> float:
         return t**self.p1
 
@@ -227,7 +231,7 @@ def _j2_pieces(
     t = state.time
     th2 = config.theta2
     v = state.v.samples
-    v_sq, vx_sq = state.v.abs_sq, state.v.dx_sq
+    v_sq, vx_sq = state.v.abs_sq, state.v.dx_abs_sq
     u_sq = state.u.abs_sq
     vx = state.v.dx.real
     cubic_dens = state.v.cube / 3.0 - params.gamma * u_sq * v
@@ -304,21 +308,26 @@ def window_entry(
     return WindowEntry(state.time, j2, j3, pieces)
 
 
-def window_residuals(window) -> tuple[IdentityResidualSample, IdentityResidualSample]:
-    """Prop2 and Prop3 residuals at the centre of a window of 5 WindowEntry;
-    a ValueError unless they are evenly spaced and centred at t >= 2."""
+def window_residuals(window, config: VirialConfig) -> tuple:
+    """Prop2, Prop3 and combined residuals at the centre of a window of 5
+    WindowEntry; a ValueError unless they are evenly spaced and centred at
+    t >= 2.  The combined sample, whose lhs, rhs and residual are the sums
+    of the other two, exists only under theta3 = 'auto' (else None)."""
     h = _window_times(window)
     t = window[2].time
     (j2_int, lhs2, cubic, mixed2), (j3_int, grad, quartic, mixed3) = window[2].pieces
     rhs2 = -_dt4([e.j2 for e in window], h) + j2_int + cubic - mixed2
     lhs3, rhs3 = grad + quartic, -_dt4([e.j3 for e in window], h) + j3_int + mixed3
-    return (IdentityResidualSample(t, lhs2, rhs2, lhs2 - rhs2),
-            IdentityResidualSample(t, lhs3, rhs3, lhs3 - rhs3))
+    r2 = IdentityResidualSample(t, lhs2, rhs2, lhs2 - rhs2)
+    r3 = IdentityResidualSample(t, lhs3, rhs3, lhs3 - rhs3)
+    combined = (IdentityResidualSample(t, lhs2 + lhs3, rhs2 + rhs3, r2.residual + r3.residual)
+                if config.theta3 == "auto" else None)
+    return r2, r3, combined
 
 
 def _state_window(states: list[SystemState], config: VirialConfig, params: ModelParams):
     """``window_residuals`` of a window of 5 states."""
-    return window_residuals([window_entry(s, config, params) for s in states])
+    return window_residuals([window_entry(s, config, params) for s in states], config)
 
 
 def identity_residual_prop2(
@@ -360,16 +369,8 @@ def identity_residual_combined(
     mixed int |u|^2 v_x w g terms cancel."""
     if config.theta3 != "auto":
         raise ValueError("the combined identity requires theta3='auto'")
-    th3 = config.theta3_value(params)
-    coeff = -2.0 * config.theta2 * params.gamma + th3 * params.alpha
-    r2, r3 = _state_window(states, config, params)
-    sample = IdentityResidualSample(
-        time=r2.time,
-        lhs=r2.lhs + r3.lhs,
-        rhs=r2.rhs + r3.rhs,
-        residual=r2.residual + r3.residual,
-    )
-    return CombinedResidual(sample=sample, coefficient_sum=coeff, prop2=r2, prop3=r3)
+    r2, r3, sample = _state_window(states, config, params)
+    return CombinedResidual(sample, config.coefficient_sum(params), r2, r3)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ class TestAcceptance:
                            width_u=2.0, width_v=2.0)
         state0 = make_initial_data(spec, grid)
         m0 = mass(state0)
-        v0_int = integrate(state0.v)
+        v0_int = integrate(state0.v.samples, grid)
         worst_mass = worst_vint = 0.0
         for beta in (0.0, 1.0, -0.1):
             params = ModelParams(1.0, beta, 1.0)
@@ -51,7 +51,7 @@ class TestAcceptance:
                       params, keep_snapshots=False)
             final = res.final_state
             worst_mass = max(worst_mass, abs(mass(final) - m0) / m0)
-            worst_vint = max(worst_vint, abs(integrate(final.v) - v0_int))
+            worst_vint = max(worst_vint, abs(integrate(final.v.samples, grid) - v0_int))
         ok = worst_mass < 1e-11 and worst_vint < 1e-11
         _verdict(1, f"exact invariants (mass drift {worst_mass:.2e}, "
                     f"v-integral drift {worst_vint:.2e})", ok)

@@ -3,6 +3,7 @@
 import configparser
 import gc
 import hashlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -96,6 +97,18 @@ def _same(row, expected):
     assert len(row) == len(expected)
     for got, want in zip(row, expected):
         assert got == float(want) or (np.isnan(got) and np.isnan(want)), (row, expected)
+
+
+def _bench_module(name, monkeypatch):
+    """bench/<name>.py, loaded by path and only read: the benchmark is not a
+    package.  It is registered for the test only (dataclasses look their
+    module up while the class is built)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _write_config(tmp_path, text=None, name="run.ini"):
@@ -385,6 +398,34 @@ class TestRunCommand:
                                              ms.predicted_slope_f])
             _same(tables["flags.csv"][i], [s.time, decay.boundary_mass(s), 0, clipped])
         assert acc["mixed_kdv"].value > 0  # the accumulators ran
+
+    def test_no_gn_constant_outside_the_full_regime(self, tmp_path, monkeypatch):
+        # with alpha*gamma <= 0 there is no Phi: the margin column is nan and
+        # the interpolation constant is never estimated
+        def refuse(grid):
+            raise AssertionError("estimate_gn_constant called outside the full regime")
+
+        monkeypatch.setattr(conservation, "estimate_gn_constant", refuse)
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace("gamma = 1.0", "gamma = -1.0")
+        path, out = _write_config(tmp_path, text)
+        assert main(["run", str(path)]) == EXIT_OK
+        assert all(np.isnan(row[6]) for row in _rows(out, "invariants.csv"))
+
+    def test_benchmark_gate_run_dense(self, tmp_path, monkeypatch):
+        # the benchmark's correctness gate on its run_dense workload at seed
+        # 0: the five CSVs must agree with the recorded reference digest
+        workloads = _bench_module("workloads", monkeypatch)
+        check = _bench_module("check", monkeypatch)
+        workload = workloads.WORKLOADS["run_dense"]
+        ini = workloads.render_ini(workload, workloads.variant_of(0))
+        (tmp_path / "run.ini").write_text(ini)
+        monkeypatch.chdir(tmp_path)  # the config writes to ./out
+        assert main(["run", "run.ini"]) == EXIT_OK
+        digest, problems = check.cli_outputs(tmp_path / "out", ini, workload.snapshots)
+        assert not problems
+        reference = check.load_reference()["run_dense"]["0"]
+        assert [p for name in check.CSV_FILES
+                for p in check.compare_digest(name, digest[name], reference[name])] == []
 
     def test_steps_with_keep_snapshots_false(self, tmp_path, monkeypatch):
         path, _ = _write_config(tmp_path)

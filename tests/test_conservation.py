@@ -1,6 +1,8 @@
 """Tests for invariants, the interpolation constant and the smallness
 criterion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -95,12 +97,20 @@ class TestGnConstant:
         # the narrowest width, 2 cells, reads 2e-5 above it.
         def ratio(f):
             l2 = np.sqrt(integrate(f**2, grid))
-            dl2 = np.sqrt(integrate(derivative_samples(grid, f, 1).real ** 2, grid))
+            dl2 = np.sqrt(integrate(derivative_samples(grid, f).real ** 2, grid))
             return integrate(f**4, grid) ** 0.25 / (dl2**0.25 * l2**0.75)
 
         gaussian = max(ratio(np.exp(-((grid.x / w) ** 2))) for w in np.geomspace(0.25, 8.0, 25))
         assert gaussian == pytest.approx(np.pi**-0.125, rel=1e-4)
         assert estimate_gn_constant(grid) >= gaussian
+
+    def test_large_box_warns_nothing(self):
+        # on criterion 07's grid cosh overflows far out; 1/inf = 0 is the
+        # exact limit of the sech profiles, so the sweep emits no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = estimate_gn_constant(SpectralGrid(8192, 1024.0))
+        assert 0.8 < c < 1.0
 
 
 def _reference_constant(alpha, beta, gamma, c):

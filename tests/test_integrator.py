@@ -75,7 +75,8 @@ class TestRun:
         m0 = integrate(np.abs(state.u.samples) ** 2, grid)
         m1 = integrate(np.abs(res.final_state.u.samples) ** 2, grid)
         assert abs(m1 - m0) / m0 < 1e-12
-        assert abs(integrate(res.final_state.v) - integrate(state.v)) < 1e-12
+        assert abs(integrate(res.final_state.v.samples, grid)
+                   - integrate(state.v.samples, grid)) < 1e-12
 
     def test_snapshot_times(self, grid):
         state = make_initial_data(InitialData(family="zero"), grid)
@@ -149,7 +150,9 @@ def literal_run(state, dt, n_steps, scheme, params):
     oracle that ``run`` must match bit for bit."""
     grid = state.grid
     k = grid.wavenumbers
-    ik = 1j * k * grid.odd_derivative_mask
+    nyquist_zeroed = np.ones(grid.num_points)
+    nyquist_zeroed[grid.num_points // 2] = 0.0
+    ik = 1j * k * nyquist_zeroed
     h = 0.5 * dt if scheme == "strang" else dt
     fu, fv = np.exp(-1j * k**2 * h), np.exp(1j * k**3 * h)
 

@@ -94,10 +94,10 @@ def v_flux_rate(state, params, form):
     u_sq = dealiased_product_samples(grid, [u, np.conj(u)]).real
     if form == "conservative":
         v_sq = dealiased_product_samples(grid, [v, v]).real
-        return -derivative_samples(grid, 0.5 * v_sq - params.gamma * u_sq, 1).real
-    vx = derivative_samples(grid, v, 1).real
+        return -derivative_samples(grid, 0.5 * v_sq - params.gamma * u_sq).real
+    vx = derivative_samples(grid, v).real
     vvx = dealiased_product_samples(grid, [v, vx]).real
-    return (-vvx + params.gamma * derivative_samples(grid, u_sq, 1)).real
+    return (-vvx + params.gamma * derivative_samples(grid, u_sq)).real
 
 
 class TestRhs:

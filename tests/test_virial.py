@@ -7,17 +7,21 @@ import pytest
 from skdv.model import InitialData, ModelParams, SystemState, make_initial_data
 from skdv.spectral import ComplexField, RealField, SpectralGrid
 from skdv.virial import (
+    IdentityResidualSample,
     VirialConfig,
     Weights,
     _window_times,
     check_key_identities,
     functional_J2,
     functional_J3,
+    identity_residual_combined,
     weight_derivative_bounds,
     weight_g,
     weight_g1,
     weight_g2,
     weight_w,
+    window_entry,
+    window_residuals,
 )
 
 
@@ -160,6 +164,38 @@ class TestWindowTimes:
             _window_times(self._states(state, [2.0, 2.1, 2.2, 2.3]))
         with pytest.raises(ValueError, match="t >= 2"):
             _window_times(self._states(state, [1.0, 1.1, 1.2, 1.3, 1.4]))
+
+
+class TestWindowResiduals:
+    PARAMS = ModelParams(1.0, 0.5, 1.3)
+
+    @staticmethod
+    def _states(state):
+        """Five evenly spaced states centred at t = 2, each field rescaled."""
+        grid = state.grid
+        return [SystemState(ComplexField(grid, state.u.samples * (1.0 + 0.05j * j)),
+                            RealField(grid, state.v.samples * (1.0 - 0.03 * j)), 1.8 + 0.1 * j)
+                for j in range(5)]
+
+    def test_combined_is_the_sum_under_auto(self, state):
+        cfg = VirialConfig()
+        states = self._states(state)
+        r2, r3, combined = window_residuals(
+            [window_entry(s, cfg, self.PARAMS) for s in states], cfg)
+        assert combined == IdentityResidualSample(
+            r2.time, r2.lhs + r3.lhs, r2.rhs + r3.rhs, r2.residual + r3.residual)
+        full = identity_residual_combined(states, cfg, self.PARAMS)
+        assert (full.sample, full.prop2, full.prop3) == (combined, r2, r3)
+        assert full.coefficient_sum == pytest.approx(0.0, abs=1e-15)
+
+    def test_no_combined_sample_for_numeric_theta3(self, state):
+        cfg = VirialConfig(theta3=0.7)
+        states = self._states(state)
+        r2, r3, combined = window_residuals(
+            [window_entry(s, cfg, self.PARAMS) for s in states], cfg)
+        assert combined is None and np.isfinite(r2.residual) and np.isfinite(r3.residual)
+        with pytest.raises(ValueError, match="theta3='auto'"):
+            identity_residual_combined(states, cfg, self.PARAMS)
 
 
 class TestKeyIdentities:
