@@ -268,9 +268,11 @@ def _cmd_run(cfg: RunConfig) -> int:
         """prop2, prop3 and combined residuals at the window's centre; nan
         under 5 snapshots, after an uneven last stride or before t = 2."""
         try:
-            r2, r3, combined = virial.window_residuals(window, vcfg)
+            r2 = virial.identity_residual_prop2(window)
+            r3 = virial.identity_residual_prop3(window)
         except ValueError:
             return (np.nan,) * 3
+        combined = virial.identity_residual_combined(r2, r3, vcfg)
         return r2.residual, r3.residual, np.nan if combined is None else combined.residual
 
     def on_snapshot(s):

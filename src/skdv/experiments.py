@@ -31,17 +31,18 @@ def identity_window(
     five-point stencil is centred at t_center.  The mixed terms cancel only
     under theta3 = 'auto'; otherwise the last two columns are nan.
     """
-    coeff = vcfg.coefficient_sum(params) if vcfg.theta3 == "auto" else np.nan
     rows = []
     for dt in dts:
         n_center = int(round(t_center / dt))
         last5 = deque(maxlen=5)
         run(state0, StepperConfig(dt=dt, t_end=(n_center + 2) * dt, scheme=scheme), params,
             on_snapshot=last5.append, keep_snapshots=False)
-        r2, r3, combined = virial.window_residuals(
-            [virial.window_entry(s, vcfg, params) for s in last5], vcfg)
-        rows.append((dt, abs(r2.residual), abs(r3.residual),
-                     np.nan if combined is None else abs(combined.residual), coeff))
+        window = [virial.window_entry(s, vcfg, params) for s in last5]
+        r2, r3 = virial.identity_residual_prop2(window), virial.identity_residual_prop3(window)
+        combined = virial.identity_residual_combined(r2, r3, vcfg)
+        res_c, coeff = ((np.nan, np.nan) if combined is None
+                        else (abs(combined.residual), vcfg.coefficient_sum(params)))
+        rows.append((dt, abs(r2.residual), abs(r3.residual), res_c, coeff))
     return rows
 
 

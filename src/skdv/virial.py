@@ -32,7 +32,6 @@ __all__ = [
     "functional_J2",
     "functional_J3",
     "window_entry",
-    "window_residuals",
     "identity_residual_prop2",
     "identity_residual_prop3",
     "identity_residual_combined",
@@ -308,69 +307,44 @@ def window_entry(
     return WindowEntry(state.time, j2, j3, pieces)
 
 
-def window_residuals(window, config: VirialConfig) -> tuple:
-    """Prop2, Prop3 and combined residuals at the centre of a window of 5
-    WindowEntry; a ValueError unless they are evenly spaced and centred at
-    t >= 2.  The combined sample, whose lhs, rhs and residual are the sums
-    of the other two, exists only under theta3 = 'auto' (else None)."""
-    h = _window_times(window)
-    t = window[2].time
-    (j2_int, lhs2, cubic, mixed2), (j3_int, grad, quartic, mixed3) = window[2].pieces
-    rhs2 = -_dt4([e.j2 for e in window], h) + j2_int + cubic - mixed2
-    lhs3, rhs3 = grad + quartic, -_dt4([e.j3 for e in window], h) + j3_int + mixed3
-    r2 = IdentityResidualSample(t, lhs2, rhs2, lhs2 - rhs2)
-    r3 = IdentityResidualSample(t, lhs3, rhs3, lhs3 - rhs3)
-    combined = (IdentityResidualSample(t, lhs2 + lhs3, rhs2 + rhs3, r2.residual + r3.residual)
-                if config.theta3 == "auto" else None)
-    return r2, r3, combined
-
-
-def _state_window(states: list[SystemState], config: VirialConfig, params: ModelParams):
-    """``window_residuals`` of a window of 5 states."""
-    return window_residuals([window_entry(s, config, params) for s in states], config)
-
-
-def identity_residual_prop2(
-    states: list[SystemState], config: VirialConfig, params: ModelParams
-) -> IdentityResidualSample:
+def identity_residual_prop2(window) -> IdentityResidualSample:
     """Residual of the v-functional identity
 
         (3 theta2/t) int v_x^2 w' g = -dJ2/dt + J2_int
             + (2 theta2/t) int (v^3/3 - gamma |u|^2 v) w' g
             - (2 theta2 gamma/eta) int |u|^2 v_x w g
 
-    evaluated at the center of a 5-snapshot window (t >= 2)."""
-    return _state_window(states, config, params)[0]
+    at the centre of a window of 5 WindowEntry; a ValueError unless they
+    are evenly spaced and centred at t >= 2."""
+    h = _window_times(window)
+    j2_int, lhs, cubic, mixed = window[2].pieces[0]
+    rhs = -_dt4([e.j2 for e in window], h) + j2_int + cubic - mixed
+    return IdentityResidualSample(window[2].time, lhs, rhs, lhs - rhs)
 
 
-def identity_residual_prop3(
-    states: list[SystemState], config: VirialConfig, params: ModelParams
-) -> IdentityResidualSample:
+def identity_residual_prop3(window) -> IdentityResidualSample:
     """Residual of the u-functional identity
 
         (2 theta3/t) int |u_x|^2 w' g + (beta theta3/2t) int |u|^4 w' g
             = -dJ3/dt + J3_int + (theta3 alpha/eta) int |u|^2 v_x w g
-    """
-    return _state_window(states, config, params)[1]
 
-
-@dataclass(frozen=True)
-class CombinedResidual:
-    sample: IdentityResidualSample
-    coefficient_sum: float  # -2 theta2 gamma + theta3 alpha; zero under 'auto'
-    prop2: IdentityResidualSample
-    prop3: IdentityResidualSample
+    at the centre of a window of 5 WindowEntry, validated as for prop2."""
+    h = _window_times(window)
+    j3_int, grad, quartic, mixed = window[2].pieces[1]
+    lhs, rhs = grad + quartic, -_dt4([e.j3 for e in window], h) + j3_int + mixed
+    return IdentityResidualSample(window[2].time, lhs, rhs, lhs - rhs)
 
 
 def identity_residual_combined(
-    states: list[SystemState], config: VirialConfig, params: ModelParams
-) -> CombinedResidual:
-    """Summed identity with theta3 = 2*theta2*gamma/alpha, under which the
-    mixed int |u|^2 v_x w g terms cancel."""
+    prop2: IdentityResidualSample, prop3: IdentityResidualSample, config: VirialConfig
+) -> IdentityResidualSample | None:
+    """Summed identity, whose lhs, rhs and residual are the sums of the two
+    samples.  It exists only under theta3 = 'auto' = 2*theta2*gamma/alpha,
+    under which the mixed int |u|^2 v_x w g terms cancel; else None."""
     if config.theta3 != "auto":
-        raise ValueError("the combined identity requires theta3='auto'")
-    r2, r3, sample = _state_window(states, config, params)
-    return CombinedResidual(sample, config.coefficient_sum(params), r2, r3)
+        return None
+    return IdentityResidualSample(prop2.time, prop2.lhs + prop3.lhs, prop2.rhs + prop3.rhs,
+                                  prop2.residual + prop3.residual)
 
 
 @dataclass(frozen=True)

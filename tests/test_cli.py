@@ -4,6 +4,7 @@ import configparser
 import gc
 import hashlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -358,12 +359,10 @@ class TestRunCommand:
             if s.time < 2 or i > len(snaps) - 3:
                 assert np.all(np.isnan(row[3:]))
                 continue
-            window = snaps[i - 2 : i + 3]
-            combined = virial.identity_residual_combined(window, cfg.virial, cfg.params)
-            assert row[3] == virial.identity_residual_prop2(window, cfg.virial, cfg.params).residual
-            assert row[4] == virial.identity_residual_prop3(window, cfg.virial, cfg.params).residual
-            assert row[5] == combined.sample.residual
-            assert (row[3], row[4]) == (combined.prop2.residual, combined.prop3.residual)
+            window = [virial.window_entry(w, cfg.virial, cfg.params) for w in snaps[i - 2 : i + 3]]
+            r2, r3 = virial.identity_residual_prop2(window), virial.identity_residual_prop3(window)
+            combined = virial.identity_residual_combined(r2, r3, cfg.virial)
+            assert (row[3], row[4], row[5]) == (r2.residual, r3.residual, combined.residual)
             checked += 1
         assert checked == 5  # centres t = 2.0 ... 2.2
 
@@ -426,6 +425,30 @@ class TestRunCommand:
         reference = check.load_reference()["run_dense"]["0"]
         assert [p for name in check.CSV_FILES
                 for p in check.compare_digest(name, digest[name], reference[name])] == []
+
+    def test_traced_run_dense_reports_every_layer_metric(self, tmp_path, monkeypatch):
+        # the benchmark's traced child on run_dense at seed 0: a metric is
+        # absent when the functions it traces are gone, and reads 0 when the
+        # run never calls them; either way it measures nothing
+        workloads = _bench_module("workloads", monkeypatch)
+        spans = _bench_module("spans", monkeypatch)
+        workload = workloads.WORKLOADS["run_dense"]
+        (tmp_path / "run.ini").write_text(workloads.render_ini(workload, workloads.variant_of(0)))
+        job = {"mode": "run", "trace": True, "cli": True, "ini_path": str(tmp_path / "run.ini"),
+               "result_path": str(tmp_path / "result.json"),
+               "spans_path": str(tmp_path / "spans.npz")}
+        (tmp_path / "job.json").write_text(json.dumps(job))
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(root / "bench" / "child.py"), str(tmp_path / "job.json")],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=300)
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert proc.returncode == 0 and result["ok"], result.get("error", proc.stderr)
+        values, absent = spans.layer_metrics(tmp_path / "spans.npz", workload.steps,
+                                             workload.snapshots)
+        assert absent == []
+        assert [m for m, v in values.items() if v == 0] == []
 
     def test_steps_with_keep_snapshots_false(self, tmp_path, monkeypatch):
         path, _ = _write_config(tmp_path)

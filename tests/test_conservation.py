@@ -104,6 +104,14 @@ class TestGnConstant:
         assert gaussian == pytest.approx(np.pi**-0.125, rel=1e-4)
         assert estimate_gn_constant(grid) >= gaussian
 
+    def test_skips_profiles_the_box_truncates(self):
+        # a profile with more than 1e-6 of its squared mass in the outer
+        # tenth of the box is cut off by it and can read above the sharp
+        # constant 3^(-1/8); wide sech profiles did so on the small boxes
+        assert estimate_gn_constant(SpectralGrid(64, 8.0)) < 1.0
+        assert estimate_gn_constant(SpectralGrid(256, 16.0)) == pytest.approx(3**-0.125, abs=2e-6)
+        assert estimate_gn_constant(SpectralGrid(1024, 64.0)) == 0.8716864478003714
+
     def test_large_box_warns_nothing(self):
         # on criterion 07's grid cosh overflows far out; 1/inf = 0 is the
         # exact limit of the sech profiles, so the sweep emits no warning

@@ -15,13 +15,14 @@ from skdv.virial import (
     functional_J2,
     functional_J3,
     identity_residual_combined,
+    identity_residual_prop2,
+    identity_residual_prop3,
     weight_derivative_bounds,
     weight_g,
     weight_g1,
     weight_g2,
     weight_w,
     window_entry,
-    window_residuals,
 )
 
 
@@ -169,33 +170,56 @@ class TestWindowTimes:
 class TestWindowResiduals:
     PARAMS = ModelParams(1.0, 0.5, 1.3)
 
-    @staticmethod
-    def _states(state):
-        """Five evenly spaced states centred at t = 2, each field rescaled."""
+    @classmethod
+    def _window(cls, state, cfg, times=(1.8, 1.9, 2.0, 2.1, 2.2)):
+        """window_entry of five states at ``times``, each field rescaled."""
         grid = state.grid
-        return [SystemState(ComplexField(grid, state.u.samples * (1.0 + 0.05j * j)),
-                            RealField(grid, state.v.samples * (1.0 - 0.03 * j)), 1.8 + 0.1 * j)
-                for j in range(5)]
+        return [window_entry(SystemState(ComplexField(grid, state.u.samples * (1.0 + 0.05j * j)),
+                                         RealField(grid, state.v.samples * (1.0 - 0.03 * j)), t),
+                             cfg, cls.PARAMS)
+                for j, t in enumerate(times)]
+
+    def test_stencil_by_hand(self, state):
+        # -dJ/dt by the five-point stencil plus the centre's pieces, summed
+        # here from the WindowEntry fields
+        window = self._window(state, VirialConfig())
+        h = 0.1
+        (j2_int, lhs2, cubic, mixed2), (j3_int, grad, quartic, mixed3) = window[2].pieces
+
+        def dt4(values):
+            return (values[0] - values[4] + 8.0 * (values[3] - values[1])) / (12.0 * h)
+
+        rhs2 = -dt4([e.j2 for e in window]) + j2_int + cubic - mixed2
+        rhs3 = -dt4([e.j3 for e in window]) + j3_int + mixed3
+        for got, lhs, rhs in ((identity_residual_prop2(window), lhs2, rhs2),
+                              (identity_residual_prop3(window), grad + quartic, rhs3)):
+            assert got.time == window[2].time and got.lhs == lhs
+            assert got.rhs == pytest.approx(rhs, rel=1e-12)
+            assert got.residual == pytest.approx(lhs - rhs, rel=1e-9)
 
     def test_combined_is_the_sum_under_auto(self, state):
         cfg = VirialConfig()
-        states = self._states(state)
-        r2, r3, combined = window_residuals(
-            [window_entry(s, cfg, self.PARAMS) for s in states], cfg)
-        assert combined == IdentityResidualSample(
+        window = self._window(state, cfg)
+        r2, r3 = identity_residual_prop2(window), identity_residual_prop3(window)
+        assert identity_residual_combined(r2, r3, cfg) == IdentityResidualSample(
             r2.time, r2.lhs + r3.lhs, r2.rhs + r3.rhs, r2.residual + r3.residual)
-        full = identity_residual_combined(states, cfg, self.PARAMS)
-        assert (full.sample, full.prop2, full.prop3) == (combined, r2, r3)
-        assert full.coefficient_sum == pytest.approx(0.0, abs=1e-15)
+        assert cfg.coefficient_sum(self.PARAMS) == pytest.approx(0.0, abs=1e-15)
 
     def test_no_combined_sample_for_numeric_theta3(self, state):
         cfg = VirialConfig(theta3=0.7)
-        states = self._states(state)
-        r2, r3, combined = window_residuals(
-            [window_entry(s, cfg, self.PARAMS) for s in states], cfg)
-        assert combined is None and np.isfinite(r2.residual) and np.isfinite(r3.residual)
-        with pytest.raises(ValueError, match="theta3='auto'"):
-            identity_residual_combined(states, cfg, self.PARAMS)
+        window = self._window(state, cfg)
+        r2, r3 = identity_residual_prop2(window), identity_residual_prop3(window)
+        assert identity_residual_combined(r2, r3, cfg) is None
+        assert np.isfinite(r2.residual) and np.isfinite(r3.residual)
+
+    @pytest.mark.parametrize("residual", [identity_residual_prop2, identity_residual_prop3])
+    @pytest.mark.parametrize("times,match", [
+        ((1.8, 1.9, 2.0, 2.1, 2.25), "uniformly spaced"),
+        ((1.7, 1.8, 1.9, 2.0, 2.1), "t >= 2"),
+    ])
+    def test_rejects_uneven_window_and_early_centre(self, state, residual, times, match):
+        with pytest.raises(ValueError, match=match):
+            residual(self._window(state, VirialConfig(), times))
 
 
 class TestKeyIdentities:
