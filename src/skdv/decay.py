@@ -17,7 +17,7 @@ import numpy as np
 from .conservation import SmallnessReport
 from .model import ModelParams, SystemState
 from .spectral import integrate
-from .virial import VirialConfig, Weights, weight_g
+from .virial import VirialConfig, Weights
 
 __all__ = [
     "WindowSpec",
@@ -121,7 +121,6 @@ def windowed_energy(
 @dataclass(frozen=True)
 class LiminfReport:
     running_min: float
-    block_edges: list
     block_minima: list
     loglog_slope: float
     decayed: bool
@@ -168,7 +167,6 @@ def liminf_tracker(times, values) -> LiminfReport:
     )
     return LiminfReport(
         running_min=float(np.min(values)),
-        block_edges=edges,
         block_minima=minima,
         loglog_slope=slope,
         decayed=decayed,
@@ -221,17 +219,14 @@ def weighted_accumulator_step(
 
     for that accumulator's density, with |v|^(2 + power_exponent) for
     ``power_k``.  The first call (t >= 2) only primes the integrand memory.
-    ``weights`` may pass the virial weights already built at ``state.time``,
-    whose ``wpg`` is this weight.  Mutates and returns ``accumulators``.
+    The weight is the ``wpg`` of the virial weights at ``state.time``, which
+    ``weights`` may pass already built.  Mutates and returns ``accumulators``.
     """
     t = state.time
     if t < 2:
         raise ValueError(f"accumulators are defined for t >= 2, got {t}")
     grid = state.grid
-    if weights is not None:
-        weight = weights.wpg
-    else:
-        weight = weight_g(grid.x / config.lambda1(t)) * weight_g(grid.x / config.lambda2(t))
+    weight = (weights if weights is not None else Weights(grid, config, t)).wpg
     power = 2.0 + power_exponent
     for tag, acc in accumulators.items():
         dens = _DENSITIES[_ACCUMULATED[tag]](state.u, state.v, params, power, slice(None))

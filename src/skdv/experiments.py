@@ -25,11 +25,13 @@ def identity_window(
     t_center: float, scheme: str = "strang",
 ) -> list[tuple]:
     """Virial identity residuals at ``t_center`` for each step size in ``dts``:
-    rows (dt, |res_prop2|, |res_prop3|, |res_combined|, coefficient sum).
+    rows (dt, |res_prop2|, |res_prop3|, |res_combined|, coefficient sum,
+    boundary mass at t_center).
 
     Each run steps to t_center + 2*dt keeping its last five states, so the
     five-point stencil is centred at t_center.  The mixed terms cancel only
-    under theta3 = 'auto'; otherwise the last two columns are nan.
+    under theta3 = 'auto'; otherwise the combined residual and the
+    coefficient sum are nan.
     """
     rows = []
     for dt in dts:
@@ -42,7 +44,8 @@ def identity_window(
         combined = virial.identity_residual_combined(r2, r3, vcfg)
         res_c, coeff = ((np.nan, np.nan) if combined is None
                         else (abs(combined.residual), vcfg.coefficient_sum(params)))
-        rows.append((dt, abs(r2.residual), abs(r3.residual), res_c, coeff))
+        rows.append((dt, abs(r2.residual), abs(r3.residual), res_c, coeff,
+                     decay.boundary_mass(last5[2])))
     return rows
 
 
@@ -86,9 +89,9 @@ def drift_halving(state0: SystemState, params: ModelParams, dts, t_end: float) -
 
 
 class DecayScan(NamedTuple):
-    """The mixed and grad-v windowed energies at each snapshot with t > 0,
-    the accumulator values after each snapshot with t >= 2 (one dict per
-    snapshot) and the accumulators themselves."""
+    """At each snapshot with t >= 2: its time, the mixed and grad-v windowed
+    energies and the accumulator values after it (one dict per snapshot);
+    and the accumulators themselves."""
 
     times: list
     mixed: list
@@ -101,18 +104,18 @@ def decay_scan(
     state0: SystemState, stepper: StepperConfig, params: ModelParams, window: decay.WindowSpec,
     vcfg: virial.VirialConfig, power_exponent: float,
 ) -> DecayScan:
-    """Windowed energies and weighted accumulators along one run."""
+    """Windowed energies and weighted accumulators along one run, from
+    t = 2 on, where the accumulators start."""
     scan = DecayScan([], [], [], [], decay.make_accumulators())
 
     def on_snapshot(s):
-        if s.time <= 0:
+        if s.time < 2:
             return
         scan.times.append(s.time)
         scan.mixed.append(decay.windowed_energy(s, window, "mixed", params).value)
         scan.grad_v.append(decay.windowed_energy(s, window, "grad_v", params).value)
-        if s.time >= 2:
-            decay.weighted_accumulator_step(s, vcfg, params, scan.accumulators, power_exponent)
-            scan.acc_rows.append({tag: acc.value for tag, acc in scan.accumulators.items()})
+        decay.weighted_accumulator_step(s, vcfg, params, scan.accumulators, power_exponent)
+        scan.acc_rows.append({tag: acc.value for tag, acc in scan.accumulators.items()})
 
     run(state0, stepper, params, on_snapshot=on_snapshot, keep_snapshots=False)
     return scan

@@ -7,7 +7,7 @@ solution would make both functionals periodic, contradicting the drift;
 numerically the testable content is "F is affine with a known slope".
 
 First moments use the box coordinate x in [-L, L) and are only meaningful
-while the fields stay away from the boundary, hence the boundary guard.
+while the fields stay away from the boundary (``decay.boundary_mass``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conservation import q_momentum
-from .decay import BOUNDARY_TOLERANCE, boundary_mass
 from .model import ModelParams, SystemState
 from .spectral import integrate, l2_norm
 
@@ -39,7 +38,6 @@ class MomentSample:
     f_moment: float  # -(2 alpha/gamma) b_moment + u_moment
     predicted_slope_f: float
     v_l2_sq: float
-    boundary_flag: bool
 
 
 def predicted_slope(initial: SystemState, params: ModelParams) -> float:
@@ -56,24 +54,15 @@ def predicted_slope(initial: SystemState, params: ModelParams) -> float:
     return 2.0 * params.alpha * l2_norm(initial.u) ** 2 - q0 / params.gamma
 
 
-def moment_sample(
-    state: SystemState, params: ModelParams, slope: float, boundary: float | None = None
-) -> MomentSample:
-    """Evaluate B, int x |u|^2 and F at one snapshot.
-
-    ``slope`` is the predicted dF/dt from the initial data; the sample is
-    flagged rather than rejected when the boundary fraction exceeds
-    BOUNDARY_TOLERANCE, since moments degrade gracefully.  ``boundary`` may
-    pass ``boundary_mass(state)`` already computed.
-    """
+def moment_sample(state: SystemState, params: ModelParams, slope: float) -> MomentSample:
+    """Evaluate B, int x |u|^2 and F at one snapshot; ``slope`` is the
+    predicted dF/dt from the initial data."""
     if params.gamma == 0:
         raise ValueError("the F functional requires gamma != 0")
     grid = state.grid
     x = grid.x
     b = integrate(x * state.v.samples, grid)
     umom = integrate(x * state.u.abs_sq, grid)
-    if boundary is None:
-        boundary = boundary_mass(state)
     return MomentSample(
         time=state.time,
         b_moment=b,
@@ -81,7 +70,6 @@ def moment_sample(
         f_moment=-(2.0 * params.alpha / params.gamma) * b + umom,
         predicted_slope_f=slope,
         v_l2_sq=l2_norm(state.v) ** 2,
-        boundary_flag=boundary > BOUNDARY_TOLERANCE,
     )
 
 

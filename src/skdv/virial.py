@@ -168,29 +168,19 @@ class Weights:
         )
 
 
-def _check_time(t: float) -> None:
-    if t <= 0:
-        raise ValueError(f"functionals require t > 0, got {t}")
-
-
-def functional_J2(
-    state: SystemState, config: VirialConfig, weights: Weights | None = None
-) -> float:
-    """J2 = (theta2/eta) int v^2 w(x/l1) g(x/l2) dx; always >= 0.  ``weights``
-    may pass the weights already built at ``state.time``."""
-    _check_time(state.time)
-    wt = weights if weights is not None else Weights(state.grid, config, state.time)
-    return config.theta2 / wt.eta * integrate(state.v.abs_sq * wt.wg, state.grid)
+def functional_J2(state: SystemState, config: VirialConfig, weights: Weights) -> float:
+    """J2 = (theta2/eta) int v^2 w(x/l1) g(x/l2) dx, with ``weights`` built at
+    ``state.time``; always >= 0."""
+    return config.theta2 / weights.eta * integrate(state.v.abs_sq * weights.wg, state.grid)
 
 
 def functional_J3(
-    state: SystemState, config: VirialConfig, params: ModelParams, weights: Weights | None = None
+    state: SystemState, config: VirialConfig, params: ModelParams, weights: Weights
 ) -> float:
-    """J3 = (theta3/eta) int Im(u * conj(u_x)) w(x/l1) g(x/l2) dx."""
-    _check_time(state.time)
-    wt = weights if weights is not None else Weights(state.grid, config, state.time)
+    """J3 = (theta3/eta) int Im(u * conj(u_x)) w(x/l1) g(x/l2) dx, with
+    ``weights`` built at ``state.time``."""
     dens = np.imag(state.u.times_conj_dx)
-    return config.theta3_value(params) / wt.eta * integrate(dens * wt.wg, state.grid)
+    return config.theta3_value(params) / weights.eta * integrate(dens * weights.wg, state.grid)
 
 
 @dataclass(frozen=True)
@@ -299,8 +289,8 @@ def window_entry(
     if state.time <= 0:
         return WindowEntry(state.time, np.nan, np.nan, None)
     wt = weights if weights is not None else Weights(state.grid, config, state.time)
-    j2 = functional_J2(state, config, weights=wt)
-    j3 = functional_J3(state, config, params, weights=wt)
+    j2 = functional_J2(state, config, wt)
+    j3 = functional_J3(state, config, params, wt)
     pieces = None
     if state.time >= 2:
         pieces = (_j2_pieces(state, config, params, wt, j2), _j3_pieces(state, config, params, wt))

@@ -266,6 +266,79 @@ class TestLoadConfig:
         assert main(["run", str(path)]) == EXIT_CONFIG
 
 
+# the value each schema key is set to in EVERY_KEY_CONFIG, none of them a
+# default and no two alike, and where load_config must put it
+EVERY_KEY = {
+    ("grid", "n"): ("512", 512, lambda c: c.grid.num_points),
+    ("grid", "l"): ("48.0", 48.0, lambda c: c.grid.half_length),
+    ("stepper", "dt"): ("0.004", 0.004, lambda c: c.stepper.dt),
+    ("stepper", "t_end"): ("2.4", 2.4, lambda c: c.stepper.t_end),
+    ("stepper", "scheme"): ("lie", "lie", lambda c: c.stepper.scheme),
+    ("stepper", "snapshot_stride"): ("7", 7, lambda c: c.stepper.snapshot_stride),
+    ("model", "alpha"): ("1.5", 1.5, lambda c: c.params.alpha),
+    ("model", "beta"): ("-0.25", -0.25, lambda c: c.params.beta),
+    ("model", "gamma"): ("0.75", 0.75, lambda c: c.params.gamma),
+    ("initial", "family"): ("modulated_gaussian", "modulated_gaussian",
+                            lambda c: c.initial.family),
+    ("initial", "amplitude_u"): ("0.3", 0.3, lambda c: c.initial.amplitude_u),
+    ("initial", "amplitude_v"): ("0.35", 0.35, lambda c: c.initial.amplitude_v),
+    ("initial", "width_u"): ("1.25", 1.25, lambda c: c.initial.width_u),
+    ("initial", "width_v"): ("1.75", 1.75, lambda c: c.initial.width_v),
+    ("initial", "carrier"): ("0.6", 0.6, lambda c: c.initial.carrier),
+    ("virial", "p1"): ("0.2", 0.2, lambda c: c.virial.p1),
+    ("virial", "p2"): ("3.5", 3.5, lambda c: c.virial.p2),
+    ("virial", "theta2"): ("1.3", 1.3, lambda c: c.virial.theta2),
+    ("virial", "theta3"): ("0.9", 0.9, lambda c: c.virial.theta3),
+    ("window", "p"): ("0.4", 0.4, lambda c: c.window.exponent),
+    ("window", "m"): ("0.1", 0.1, lambda c: c.window.center_exponent),
+    ("window", "constant"): ("2.5", 2.5, lambda c: c.window.window_constant),
+    ("window", "power_exponent"): ("0.65", 0.65, lambda c: c.power_exponent),
+    ("output", "directory"): ("elsewhere", Path("elsewhere"), lambda c: c.output_dir),
+    ("output", "strict"): ("true", True, lambda c: c.strict),
+}
+EVERY_KEY_CONFIG = "".join(
+    f"[{section}]\n" + "".join(f"{k} = {EVERY_KEY[(s, k)][0]}\n"
+                               for s, k in EVERY_KEY if s == section) + "\n"
+    for section in dict.fromkeys(s for s, _ in EVERY_KEY))
+
+
+class TestSchema:
+    """cli._SCHEMA is the one list of config keys: the README documents it
+    and load_config puts each key where it belongs."""
+
+    def test_readme_table_matches_schema(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = [[cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:5]]
+                 for line in text.splitlines() if line.startswith("| `[")]
+        schema = [(section, *row) for section, rows in cli._SCHEMA.items() for row in rows]
+        assert len(table) == len(schema)
+        type_names = {int: "int", float: "float", str: "str", bool: "bool"}
+        parser = configparser.ConfigParser()
+        for (section_cell, key_cell, type_cell, default_cell), (section, key, cast, default) \
+                in zip(table, schema):
+            assert (section_cell, key_cell, type_cell) == (
+                f"`[{section}]`", f"`{key}`", type_names.get(cast, "float or `auto`"))
+            # the documented default, read as an INI value, is the schema's
+            parser.read_dict({section: {key: default_cell.strip("`")}})
+            assert cli._get(parser, section, key, cast, None) == default, (section, key)
+
+    def test_every_key_lands_in_its_field(self, tmp_path):
+        assert set(EVERY_KEY) == {(section, key) for section, rows in cli._SCHEMA.items()
+                                  for key, _, _ in rows} - {("initial", "speed")}
+        defaults = {(section, key): default for section, rows in cli._SCHEMA.items()
+                    for key, _, default in rows}
+        values = [want for _, want, _ in EVERY_KEY.values()]
+        assert len(set(map(repr, values))) == len(values)
+        path, _ = _write_config(tmp_path, EVERY_KEY_CONFIG)
+        cfg = load_config(path)
+        for (section, key), (_, want, field) in EVERY_KEY.items():
+            assert want != defaults[(section, key)], (section, key)
+            assert field(cfg) == want, (section, key)
+        # speed is read only by kdv_soliton, which reads nothing else
+        path, _ = _write_config(tmp_path, "[initial]\nfamily = kdv_soliton\nspeed = 2.5\n")
+        assert load_config(path).initial.speed == 2.5
+
+
 class TestRunCommand:
     def test_outputs_and_headers(self, tmp_path):
         path, out = _write_config(tmp_path)
@@ -354,8 +427,9 @@ class TestRunCommand:
             if i == 0:
                 assert np.all(np.isnan(row[1:]))
                 continue
-            assert row[1] == virial.functional_J2(s, cfg.virial)
-            assert row[2] == virial.functional_J3(s, cfg.virial, cfg.params)
+            wt = virial.Weights(s.grid, cfg.virial, s.time)
+            assert row[1] == virial.functional_J2(s, cfg.virial, wt)
+            assert row[2] == virial.functional_J3(s, cfg.virial, cfg.params, wt)
             if s.time < 2 or i > len(snaps) - 3:
                 assert np.all(np.isnan(row[3:]))
                 continue
@@ -563,6 +637,13 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    def test_scan_decay_before_t2(self, tmp_path, capsys):
+        # the scan's series start at t = 2, where the accumulators do
+        path, _ = _write_config(tmp_path)
+        assert main(["scan-decay", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: scan-decay starts at t = 2, got t_end = 0.1\n"
+
     @pytest.mark.parametrize("command", ["run", "check-smallness"])
     def test_initial_data_past_the_box(self, tmp_path, capsys, command):
         # a u width of 5 in a box of half-length 8 leaves too much of the
@@ -630,9 +711,14 @@ class TestExperimentOutput:
         assert [r[0] for r in rows] == [2e-3, 1e-3, 5e-4]
         lines = capsys.readouterr().out.splitlines()
         assert lines[1:4] == [f"{dt:>10.1e} {a:>14.6e} {b:>14.6e} {c:>15.6e}"
-                              for dt, a, b, c, _ in rows]
+                              for dt, a, b, c, _, _ in rows]
+        # a box of half-length 16 lets the data reach its edge by t = 3
+        bmass = rows[-1][5]
+        assert bmass > decay.BOUNDARY_TOLERANCE
+        assert lines[7] == f"boundary mass at the centre (finest dt): {bmass:.3e}"
+        assert lines[8].startswith(f"  above {decay.BOUNDARY_TOLERANCE:g}: the box edge")
         assert lines[-1] == f"cancellation coefficient: {rows[-1][4]:.3e}"
-        assert len(lines) == 8
+        assert len(lines) == 10
 
     def test_scan_decay(self, tmp_path, capsys, monkeypatch):
         # snapshots every 0.1 to t = 2.2: the accumulators run from t = 2
@@ -643,7 +729,7 @@ class TestExperimentOutput:
         returned = self._spy(monkeypatch, "decay_scan")
         assert main(["scan-decay", str(path)]) == EXIT_OK
         [scan] = returned
-        assert len(scan.times) == 22 and len(scan.acc_rows) == 3
+        assert scan.times == [2.0, 2.1, 2.2] and len(scan.acc_rows) == 3
         assert scan.accumulators["mixed_kdv"].value > 0
         lines = capsys.readouterr().out.splitlines()
         for line, vals in zip(lines, (scan.mixed, scan.grad_v)):

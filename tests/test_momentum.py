@@ -22,7 +22,6 @@ class TestMomentSample:
         assert abs(s.b_moment) < 1e-12
         assert abs(s.u_moment) < 1e-12
         assert abs(s.f_moment) < 1e-12
-        assert not s.boundary_flag
 
     def test_odd_v_moment(self, grid):
         # v = x exp(-x^2): int x v = int x^2 exp(-x^2) = sqrt(pi)/2
@@ -50,15 +49,6 @@ class TestMomentSample:
             moment_sample(state, ModelParams(1.0, 0.0, 0.0), slope=0.0)
         with pytest.raises(ValueError):
             predicted_slope(state, ModelParams(1.0, 0.0, 0.0))
-
-    def test_boundary_flag(self, grid):
-        v = np.where(np.abs(grid.x) >= 0.95 * grid.half_length, 1.0, 0.0)
-        state = SystemState(
-            ComplexField(grid, np.zeros(grid.num_points, complex)),
-            RealField(grid, v), 0.0,
-        )
-        s = moment_sample(state, ModelParams(1.0, 0.0, 1.0), slope=0.0)
-        assert s.boundary_flag
 
 
 class TestPredictedSlope:
@@ -88,7 +78,7 @@ def _synthetic_samples(slope, n=20, b_rate=0.3):
         f = slope * t - 0.4
         samples.append(MomentSample(
             time=float(t), b_moment=b, u_moment=0.0, f_moment=f,
-            predicted_slope_f=slope, v_l2_sq=v_sq, boundary_flag=False,
+            predicted_slope_f=slope, v_l2_sq=v_sq,
         ))
     return samples
 
@@ -104,8 +94,7 @@ class TestDriftCheck:
     def test_detects_wrong_slope(self):
         samples = _synthetic_samples(1.5)
         bad = [MomentSample(s.time, s.b_moment, s.u_moment, s.f_moment,
-                            predicted_slope_f=3.0, v_l2_sq=s.v_l2_sq,
-                            boundary_flag=False) for s in samples]
+                            predicted_slope_f=3.0, v_l2_sq=s.v_l2_sq) for s in samples]
         rep = drift_check(bad, ModelParams(1.0, 0.0, 1.0), 0.0)
         assert rep.slope_rel_error == pytest.approx(0.5, rel=1e-10)
 

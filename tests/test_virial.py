@@ -100,17 +100,19 @@ class TestFunctionals:
     def test_j2_nonnegative(self, state):
         cfg = VirialConfig()
         st = SystemState(state.u, state.v, 3.0)
-        assert functional_J2(st, cfg) > 0.0
+        assert functional_J2(st, cfg, Weights(st.grid, cfg, st.time)) > 0.0
 
     def test_requires_positive_time(self, state):
+        # the functionals take their weights, which exist only at t > 0
         with pytest.raises(ValueError):
-            functional_J2(state, VirialConfig())
+            Weights(state.grid, VirialConfig(), state.time)
 
     def test_j3_scales_with_theta(self, state):
         params = ModelParams(1.0, 0.0, 1.0)
         st = SystemState(state.u, state.v, 3.0)
-        a = functional_J3(st, VirialConfig(theta3=1.0), params)
-        b = functional_J3(st, VirialConfig(theta3=2.0), params)
+        wt = Weights(st.grid, VirialConfig(), st.time)  # theta3 does not enter the weights
+        a = functional_J3(st, VirialConfig(theta3=1.0), params, wt)
+        b = functional_J3(st, VirialConfig(theta3=2.0), params, wt)
         assert b == pytest.approx(2.0 * a, rel=1e-13)
 
 
