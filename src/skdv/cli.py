@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import sys
 from collections import deque
@@ -34,7 +35,8 @@ except ImportError:
 
 from . import conservation, decay, experiments, momentum, virial
 from .integrator import BlowUpError, StepperConfig, run as run_integrator
-from .model import InitialData, ModelParams, SystemState, make_initial_data
+from .model import (BOUNDARY_TOLERANCE, InitialData, ModelParams, SystemState, boundary_mass,
+                    make_initial_data)
 from .spectral import SpectralGrid, h1_norm
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
@@ -167,16 +169,17 @@ def load_config(path: str | Path) -> RunConfig:
     )
 
 
-def _open_csv(path: Path, config_hash: str, header: list[str]):
-    """The file at ``path`` with its config line and header written, and a
-    function writing one row of numbers to it: each as ``%.17g`` (so
-    booleans read 1 and 0), comma-separated, each row ending in CRLF."""
+def _open_csv(files: contextlib.ExitStack, path: Path, config_hash: str, header: tuple[str, ...]):
+    """A function writing one row of numbers to the file at ``path``, opened
+    on ``files`` with its config line and header written: each number as
+    ``%.17g`` (so booleans read 1 and 0), comma-separated, each row ending
+    in CRLF."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fh = open(path, "w", newline="")
+    fh = files.enter_context(open(path, "w", newline=""))
     fh.write(f"# config={config_hash}\n")
     fh.write(",".join(header) + "\r\n")
     row = ",".join(["%.17g"] * len(header)) + "\r\n"
-    return fh, lambda *values: fh.write(row % values)
+    return lambda *values: fh.write(row % values)
 
 
 def _checked(fn, *args):
@@ -188,6 +191,10 @@ def _checked(fn, *args):
         raise ConfigError(str(exc)) from exc
 
 
+# (decay.csv column, windowed_energy kind): the windowed energies `skdv run`
+# writes, in the order of their columns
+_WINDOWED = (("E_mixed", "mixed"), ("E_coupling", "coupling"), ("E_gradu", "grad_u"),
+             ("E_gradv", "grad_v"), ("E_uk", "power_u"), ("E_vk", "power_v"))
 # (decay.csv column, accumulator tag): the accumulators `skdv run` advances,
 # in the order of their columns
 _ACC_COLUMNS = (
@@ -197,13 +204,22 @@ _ACC_COLUMNS = (
     ("acc_gradv", "gradient_v"),
     ("acc_quartic", "quartic_u"),
 )
+# each CSV `skdv run` writes -> its columns, in the order of its rows
+_CSV_COLUMNS = {
+    "invariants.csv": ("t", "mass", "q", "energy", "u_h1", "v_h1", "margin"),
+    "virial.csv": ("t", "J2", "J3", "res_prop2", "res_prop3", "res_combined"),
+    "decay.csv": ("t", "window_p", "window_m", *(column for column, _ in _WINDOWED),
+                  *(column for column, _ in _ACC_COLUMNS)),
+    "moments.csv": ("t", "B", "Umom", "F", "predicted_slope"),
+    "flags.csv": ("t", "boundary_mass", "blowup", "window_clipped"),
+}
 
 
 def _initial_state(cfg: RunConfig) -> SystemState:
     """The configured initial state.  Data with a boundary tail above
-    decay.BOUNDARY_TOLERANCE, or a nonpositive width or soliton speed, is a
+    BOUNDARY_TOLERANCE, or a nonpositive width or soliton speed, is a
     config error."""
-    return _checked(make_initial_data, cfg.initial, cfg.grid, decay.BOUNDARY_TOLERANCE)
+    return _checked(make_initial_data, cfg.initial, cfg.grid, BOUNDARY_TOLERANCE)
 
 
 def _cmd_run(cfg: RunConfig) -> int:
@@ -221,83 +237,65 @@ def _cmd_run(cfg: RunConfig) -> int:
     accumulators = {tag: decay.AccumulatorState(tag) for _, tag in _ACC_COLUMNS}
 
     out = cfg.output_dir
-    fh_i, w_i = _open_csv(out / "invariants.csv", cfg.config_hash,
-                          ["t", "mass", "q", "energy", "u_h1", "v_h1", "margin"])
-    fh_v, w_v = _open_csv(out / "virial.csv", cfg.config_hash,
-                          ["t", "J2", "J3", "res_prop2", "res_prop3", "res_combined"])
-    fh_d, w_d = _open_csv(out / "decay.csv", cfg.config_hash,
-                          ["t", "window_p", "window_m", "E_mixed", "E_coupling",
-                           "E_gradu", "E_gradv", "E_uk", "E_vk",
-                           *(column for column, _ in _ACC_COLUMNS)])
-    fh_m, w_m = _open_csv(out / "moments.csv", cfg.config_hash,
-                          ["t", "B", "Umom", "F", "predicted_slope"])
-    fh_f, w_f = _open_csv(out / "flags.csv", cfg.config_hash,
-                          ["t", "boundary_mass", "blowup", "window_clipped"])
-
     window = deque(maxlen=5)  # virial.WindowEntry of the latest snapshots
     flags_row = None  # the newest flags.csv row
     written = 0
     boundary_hit = False
     power = 2.0 + cfg.power_exponent
-
-    def virial_row(entry, residuals=(np.nan,) * 3):
-        w_v(entry.time, entry.j2, entry.j3, *residuals)
-
-    def residual_columns():
-        """prop2, prop3 and combined residuals at the window's centre; nan
-        under 5 snapshots, after an uneven last stride or before t = 2."""
-        try:
-            r2 = virial.identity_residual_prop2(window)
-            r3 = virial.identity_residual_prop3(window)
-        except ValueError:
-            return (np.nan,) * 3
-        combined = virial.identity_residual_combined(r2, r3, vcfg)
-        return r2.residual, r3.residual, np.nan if combined is None else combined.residual
-
-    def on_snapshot(s):
-        nonlocal written, boundary_hit, flags_row
-        written += 1
-        wt = virial.Weights(s.grid, vcfg, s.time) if s.time > 0 else None
-        window.append(virial.window_entry(s, vcfg, params, wt))
-        if len(window) >= 3:
-            virial_row(window[-3], residual_columns())
-
-        inv = conservation.invariant_sample(s, params)
-        margin = phi - (inv.u_h1 + inv.v_h1) if np.isfinite(phi) else np.nan
-        w_i(s.time, inv.mass, inv.q_momentum, inv.energy, inv.u_h1, inv.v_h1, margin)
-
-        clipped = False
-        if s.time > 0:
-            kinds = {}
-            for kind in ("mixed", "coupling", "grad_u", "grad_v"):
-                we = decay.windowed_energy(s, cfg.window, kind, params)
-                kinds[kind] = we.value
-                clipped = clipped or we.clipped
-            e_uk = decay.windowed_energy(s, cfg.window, "power_u", params, power).value
-            e_vk = decay.windowed_energy(s, cfg.window, "power_v", params, power).value
-        else:
-            kinds = dict.fromkeys(("mixed", "coupling", "grad_u", "grad_v"), np.nan)
-            e_uk = e_vk = np.nan
-        if s.time >= 2:
-            decay.weighted_accumulator_step(
-                s, vcfg, params, accumulators, cfg.power_exponent, weights=wt
-            )
-        acc = [a.value for a in accumulators.values()]
-        w_d(s.time, cfg.window.exponent, cfg.window.center_exponent,
-            kinds["mixed"], kinds["coupling"], kinds["grad_u"], kinds["grad_v"],
-            e_uk, e_vk, *acc)
-
-        ms = momentum.moment_sample(s, params, slope)
-        w_m(s.time, ms.b_moment, ms.u_moment, ms.f_moment, ms.predicted_slope_f)
-
-        bmass = decay.boundary_mass(s)
-        boundary_hit = boundary_hit or bmass > decay.BOUNDARY_TOLERANCE
-        if flags_row is not None:
-            w_f(*flags_row)
-        flags_row = [s.time, bmass, False, clipped]
-
     blowup_time = None
-    try:
+    with contextlib.ExitStack() as files:
+        write = {name: _open_csv(files, out / name, cfg.config_hash, columns)
+                 for name, columns in _CSV_COLUMNS.items()}
+
+        def virial_row(entry, residuals=(np.nan,) * 3):
+            write["virial.csv"](entry.time, entry.j2, entry.j3, *residuals)
+
+        def residual_columns():
+            """prop2, prop3 and combined residuals at the window's centre; nan
+            under 5 snapshots, after an uneven last stride or before t = 2."""
+            try:
+                r2 = virial.identity_residual_prop2(window)
+                r3 = virial.identity_residual_prop3(window)
+            except ValueError:
+                return (np.nan,) * 3
+            combined = virial.identity_residual_combined(r2, r3, vcfg)
+            return r2.residual, r3.residual, np.nan if combined is None else combined.residual
+
+        def on_snapshot(s):
+            nonlocal written, boundary_hit, flags_row
+            written += 1
+            wt = virial.Weights(s.grid, vcfg, s.time) if s.time > 0 else None
+            window.append(virial.window_entry(s, vcfg, params, wt))
+            if len(window) >= 3:
+                virial_row(window[-3], residual_columns())
+
+            inv = conservation.invariant_sample(s, params)
+            margin = phi - (inv.u_h1 + inv.v_h1) if np.isfinite(phi) else np.nan
+            write["invariants.csv"](s.time, inv.mass, inv.q_momentum, inv.energy, inv.u_h1,
+                                    inv.v_h1, margin)
+
+            energies, clipped = [np.nan] * len(_WINDOWED), False
+            if s.time > 0:
+                found = [decay.windowed_energy(s, cfg.window, kind, params, power)
+                         for _, kind in _WINDOWED]
+                energies = [we.value for we in found]
+                clipped = found[0].clipped  # every kind reads the same window
+            if s.time >= virial.T_START:
+                decay.weighted_accumulator_step(
+                    s, vcfg, params, accumulators, cfg.power_exponent, weights=wt
+                )
+            write["decay.csv"](s.time, cfg.window.exponent, cfg.window.center_exponent,
+                               *energies, *(a.value for a in accumulators.values()))
+
+            ms = momentum.moment_sample(s, params)
+            write["moments.csv"](s.time, ms.b_moment, ms.u_moment, ms.f_moment, slope)
+
+            bmass = boundary_mass(s)
+            boundary_hit = boundary_hit or bmass > BOUNDARY_TOLERANCE
+            if flags_row is not None:
+                write["flags.csv"](*flags_row)
+            flags_row = [s.time, bmass, False, clipped]
+
         try:
             run_integrator(state0, cfg.stepper, params, on_snapshot=on_snapshot,
                            keep_snapshots=False)
@@ -306,10 +304,7 @@ def _cmd_run(cfg: RunConfig) -> int:
         for entry in list(window)[-2:]:
             virial_row(entry)
         flags_row[2] = blowup_time is not None  # the last finite snapshot
-        w_f(*flags_row)
-    finally:
-        for fh in (fh_i, fh_v, fh_d, fh_m, fh_f):
-            fh.close()
+        write["flags.csv"](*flags_row)
 
     if blowup_time is not None:
         print(f"blow-up detected at t={blowup_time:g}", file=sys.stderr)
@@ -338,8 +333,8 @@ def _cmd_verify_identities(cfg: RunConfig) -> int:
               f"prop2 {orders[0]:.2f}  prop3 {orders[1]:.2f}  combined {orders[2]:.2f}")
     bmass = rows[-1][5]
     print(f"boundary mass at the centre (finest dt): {bmass:.3e}")
-    if bmass > decay.BOUNDARY_TOLERANCE:
-        print(f"  above {decay.BOUNDARY_TOLERANCE:g}: the box edge, not the splitting, "
+    if bmass > BOUNDARY_TOLERANCE:
+        print(f"  above {BOUNDARY_TOLERANCE:g}: the box edge, not the splitting, "
               f"may set these residuals and orders")
     if cfg.virial.theta3 == "auto":
         print(f"cancellation coefficient: {rows[-1][4]:.3e}")
@@ -347,8 +342,9 @@ def _cmd_verify_identities(cfg: RunConfig) -> int:
 
 
 def _cmd_scan_decay(cfg: RunConfig) -> int:
-    if cfg.stepper.t_end < 2:
-        raise ConfigError(f"scan-decay starts at t = 2, got t_end = {cfg.stepper.t_end:g}")
+    if cfg.stepper.t_end < virial.T_START:
+        raise ConfigError(f"scan-decay starts at t = {virial.T_START:g}, "
+                          f"got t_end = {cfg.stepper.t_end:g}")
     scan = experiments.decay_scan(_initial_state(cfg), cfg.stepper, cfg.params, cfg.window,
                                   cfg.virial, cfg.power_exponent)
     for label, vals in (("mixed", scan.mixed), ("grad_v", scan.grad_v)):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, SystemState
+from .model import BOUNDARY_TOLERANCE, ModelParams, SystemState, outer_fraction
 from .spectral import SpectralGrid, derivative_samples, h1_norm, integrate, l2_norm
 
 __all__ = [
@@ -104,17 +104,14 @@ def estimate_gn_constant(grid: SpectralGrid) -> float:
     as it is because the ``margin`` column of ``skdv run`` and
     ``check-smallness`` depend on it.
     """
-    from .decay import BOUNDARY_TOLERANCE  # local import: decay imports this module
-
     x = grid.x
-    outer = np.abs(x) >= 0.9 * grid.half_length  # the outer tenth of decay.boundary_mass
     best = 0.0
     with np.errstate(over="ignore"):
         for profile in (lambda w: np.exp(-((x / w) ** 2)), lambda w: 1.0 / np.cosh(x / w),
                         lambda w: 1.0 / np.cosh(x / w) ** 2):
             for w in np.geomspace(0.25, 8.0, 25):
                 f = profile(w)
-                if (f[outer] ** 2).sum() <= BOUNDARY_TOLERANCE * (f**2).sum():
+                if outer_fraction(grid, f**2) <= BOUNDARY_TOLERANCE:
                     best = max(best, _interpolation_ratio(grid, f))
     return best
 
@@ -204,7 +201,6 @@ def phi_smallness(
 @dataclass(frozen=True)
 class AprioriReport:
     phi: float
-    max_norm_sum: float
     tightest_margin: float
     holds: bool
     v_bound_holds: bool  # ||v||^2 <= (|Q(0)| + 2|gamma| ||u0|| ||u_x||)/|alpha|
@@ -229,7 +225,6 @@ def apriori_monitor(
             v_ok = False
     return AprioriReport(
         phi=phi,
-        max_norm_sum=max_sum,
         tightest_margin=phi - max_sum,
         holds=max_sum <= phi,
         v_bound_holds=v_ok,

@@ -17,14 +17,13 @@ import numpy as np
 from .conservation import SmallnessReport
 from .model import ModelParams, SystemState
 from .spectral import integrate
-from .virial import VirialConfig, Weights
+from .virial import T_START, VirialConfig, Weights
 
 __all__ = [
     "WindowSpec",
     "WindowedEnergy",
     "AccumulatorState",
     "ACCUMULATOR_TAGS",
-    "BOUNDARY_TOLERANCE",
     "DECAY_FACTOR",
     "GATE_TOLERANCE",
     "windowed_energy",
@@ -34,12 +33,8 @@ __all__ = [
     "weighted_accumulator_step",
     "smallness_gate_check",
     "GateReport",
-    "boundary_mass",
 ]
 
-# the largest boundary_mass that counts as clear of the box edge: initial
-# data above it is a config error, and a run that exceeds it is flagged
-BOUNDARY_TOLERANCE = 1e-6
 # liminf_tracker calls a series decayed when its last dyadic-block minimum
 # is this factor below the first
 DECAY_FACTOR = 10.0
@@ -223,8 +218,8 @@ def weighted_accumulator_step(
     ``weights`` may pass already built.  Mutates and returns ``accumulators``.
     """
     t = state.time
-    if t < 2:
-        raise ValueError(f"accumulators are defined for t >= 2, got {t}")
+    if t < T_START:
+        raise ValueError(f"accumulators are defined for t >= {T_START:g}, got {t}")
     grid = state.grid
     weight = (weights if weights is not None else Weights(grid, config, t)).wpg
     power = 2.0 + power_exponent
@@ -267,13 +262,3 @@ def smallness_gate_check(
         holds=bool(lowest >= 0.5 * ag - GATE_TOLERANCE),
     )
 
-
-def boundary_mass(state: SystemState) -> float:
-    """Fraction of int(|u|^2 + v^2) carried by the outer 10% of the box."""
-    grid = state.grid
-    dens = state.u.abs_sq + state.v.abs_sq
-    total = float(dens.sum())
-    if total == 0.0:
-        return 0.0
-    outer = np.abs(grid.x) >= 0.9 * grid.half_length
-    return float(dens[outer].sum()) / total

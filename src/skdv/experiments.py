@@ -14,7 +14,7 @@ import numpy as np
 
 from . import conservation, decay, virial
 from .integrator import StepperConfig, run
-from .model import ModelParams, SystemState, kdv_soliton_profile
+from .model import ModelParams, SystemState, boundary_mass, kdv_soliton_profile
 from .spectral import ComplexField, RealField, SpectralGrid
 
 __all__ = ["DecayScan", "analytic_errors", "decay_scan", "drift_halving", "identity_window"]
@@ -45,7 +45,7 @@ def identity_window(
         res_c, coeff = ((np.nan, np.nan) if combined is None
                         else (abs(combined.residual), vcfg.coefficient_sum(params)))
         rows.append((dt, abs(r2.residual), abs(r3.residual), res_c, coeff,
-                     decay.boundary_mass(last5[2])))
+                     boundary_mass(last5[2])))
     return rows
 
 
@@ -109,7 +109,7 @@ def decay_scan(
     scan = DecayScan([], [], [], [], decay.make_accumulators())
 
     def on_snapshot(s):
-        if s.time < 2:
+        if s.time < virial.T_START:
             return
         scan.times.append(s.time)
         scan.mixed.append(decay.windowed_energy(s, window, "mixed", params).value)

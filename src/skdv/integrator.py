@@ -28,7 +28,7 @@ class BlowUpError(RuntimeError):
     """Raised when a step produces non-finite values at ``time``; ``result``
     holds the run up to the last finite state."""
 
-    def __init__(self, message: str, time: float, result: "RunResult | None" = None):
+    def __init__(self, message: str, time: float, result: "RunResult"):
         super().__init__(message)
         self.time = time
         self.result = result

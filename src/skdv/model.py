@@ -19,7 +19,14 @@ __all__ = [
     "SystemState",
     "make_initial_data",
     "kdv_soliton_profile",
+    "BOUNDARY_TOLERANCE",
+    "outer_fraction",
+    "boundary_mass",
 ]
+
+# the largest boundary_mass that counts as clear of the box edge: initial
+# data above it is a config error, and a run that exceeds it is flagged
+BOUNDARY_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,21 @@ def _build_samples(spec: InitialData, grid: SpectralGrid) -> tuple[np.ndarray, n
     raise ValueError(f"unknown initial-data family {fam!r}")
 
 
+def outer_fraction(grid: SpectralGrid, dens: np.ndarray) -> float:
+    """Fraction of sum(dens) carried by the outer 10% of the box, |x| >= 0.9 L
+    (0 for a zero density): the periodic box stands in for the real line
+    only while this stays at most BOUNDARY_TOLERANCE."""
+    total = float(dens.sum())
+    if total == 0.0:
+        return 0.0
+    return float(dens[np.abs(grid.x) >= 0.9 * grid.half_length].sum()) / total
+
+
+def boundary_mass(state: SystemState) -> float:
+    """Fraction of int(|u|^2 + v^2) carried by the outer 10% of the box."""
+    return outer_fraction(state.grid, state.u.abs_sq + state.v.abs_sq)
+
+
 def make_initial_data(
     spec: InitialData, grid: SpectralGrid, boundary_threshold: float = 1e-8
 ) -> SystemState:
@@ -109,8 +131,6 @@ def make_initial_data(
     mass would contaminate the periodic box."""
     u, v = _build_samples(spec, grid)
     state = SystemState(ComplexField(grid, u), RealField(grid, v), time=0.0)
-    from .decay import boundary_mass  # local import to avoid a cycle
-
     tail = boundary_mass(state)
     if tail > boundary_threshold:
         raise ValueError(

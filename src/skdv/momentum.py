@@ -7,7 +7,7 @@ solution would make both functionals periodic, contradicting the drift;
 numerically the testable content is "F is affine with a known slope".
 
 First moments use the box coordinate x in [-L, L) and are only meaningful
-while the fields stay away from the boundary (``decay.boundary_mass``).
+while the fields stay away from the boundary (``model.boundary_mass``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class MomentSample:
     b_moment: float  # int x v dx
     u_moment: float  # int x |u|^2 dx
     f_moment: float  # -(2 alpha/gamma) b_moment + u_moment
-    predicted_slope_f: float
     v_l2_sq: float
 
 
@@ -54,9 +53,8 @@ def predicted_slope(initial: SystemState, params: ModelParams) -> float:
     return 2.0 * params.alpha * l2_norm(initial.u) ** 2 - q0 / params.gamma
 
 
-def moment_sample(state: SystemState, params: ModelParams, slope: float) -> MomentSample:
-    """Evaluate B, int x |u|^2 and F at one snapshot; ``slope`` is the
-    predicted dF/dt from the initial data."""
+def moment_sample(state: SystemState, params: ModelParams) -> MomentSample:
+    """Evaluate B, int x |u|^2 and F at one snapshot."""
     if params.gamma == 0:
         raise ValueError("the F functional requires gamma != 0")
     grid = state.grid
@@ -68,14 +66,12 @@ def moment_sample(state: SystemState, params: ModelParams, slope: float) -> Mome
         b_moment=b,
         u_moment=umom,
         f_moment=-(2.0 * params.alpha / params.gamma) * b + umom,
-        predicted_slope_f=slope,
         v_l2_sq=l2_norm(state.v) ** 2,
     )
 
 
 @dataclass(frozen=True)
 class DriftReport:
-    fitted_slope: float
     predicted_slope: float
     slope_rel_error: float
     fit_residual: float  # max |F - affine fit|
@@ -88,9 +84,11 @@ class DriftReport:
 ZERO_SLOPE_TOL = 1e-10
 
 
-def drift_check(samples: list[MomentSample], params: ModelParams, u0_l2_sq: float) -> DriftReport:
-    """Affine fit of F(t) against the predicted constant slope, plus a
-    per-interval finite-difference check of the dB/dt law.
+def drift_check(samples: list[MomentSample], params: ModelParams, slope: float,
+                u0_l2_sq: float) -> DriftReport:
+    """Affine fit of F(t) against ``slope``, the predicted dF/dt from the
+    initial data, plus a per-interval finite-difference check of the dB/dt
+    law.
 
     dB/dt is compared by centered differencing of B between consecutive
     samples against the midpoint average of ||v||^2/2 - gamma ||u0||^2,
@@ -100,12 +98,11 @@ def drift_check(samples: list[MomentSample], params: ModelParams, u0_l2_sq: floa
         raise ValueError(f"drift_check needs at least 10 samples, got {len(samples)}")
     t = np.array([s.time for s in samples])
     f = np.array([s.f_moment for s in samples])
-    slope_pred = samples[0].predicted_slope_f
 
     fitted, intercept = np.polyfit(t, f, 1)
     residual = float(np.max(np.abs(f - (fitted * t + intercept))))
-    denom = max(abs(slope_pred), ZERO_SLOPE_TOL)
-    rel_err = abs(fitted - slope_pred) / denom
+    denom = max(abs(slope), ZERO_SLOPE_TOL)
+    rel_err = abs(fitted - slope) / denom
 
     b = np.array([s.b_moment for s in samples])
     v_sq = np.array([s.v_l2_sq for s in samples])
@@ -114,10 +111,9 @@ def drift_check(samples: list[MomentSample], params: ModelParams, u0_l2_sq: floa
     db_err = float(np.max(np.abs(db_dt - law_mid)))
 
     return DriftReport(
-        fitted_slope=float(fitted),
-        predicted_slope=slope_pred,
+        predicted_slope=slope,
         slope_rel_error=float(rel_err),
         fit_residual=residual,
         db_dt_max_error=db_err,
-        slope_near_zero=bool(abs(slope_pred) < ZERO_SLOPE_TOL),
+        slope_near_zero=bool(abs(slope) < ZERO_SLOPE_TOL),
     )

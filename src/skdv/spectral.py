@@ -49,7 +49,6 @@ class SpectralGrid:
         self.wavenumbers = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
         # the Nyquist mode has no well-defined sign; zero it
         self.ik = 1j * self.wavenumbers * (np.arange(n) != n // 2)
-        self._product_work = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -63,6 +62,15 @@ class SpectralGrid:
 
     def __repr__(self) -> str:
         return f"SpectralGrid(num_points={self.num_points}, half_length={self.half_length})"
+
+    @cached_property
+    def _product_work(self) -> np.ndarray:
+        """The work array of ``dealiased_product_samples`` on this grid, built
+        on first use: two 2N fine rows, one per distinct factor.  A grid with
+        N >= 8192 first makes the FFT scratch stay resident."""
+        if self.num_points >= _RESIDENT_SCRATCH_MIN_N:
+            _keep_fft_scratch_resident()
+        return np.empty((2, 2 * self.num_points), np.complex128)
 
 
 def _validate_samples(grid: SpectralGrid, samples: np.ndarray) -> None:
@@ -195,17 +203,6 @@ def _keep_fft_scratch_resident() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _product_work(grid: SpectralGrid) -> np.ndarray:
-    """The work array of ``dealiased_product_samples`` on ``grid``, built on
-    first use: two 2N fine rows, one per distinct factor.  A grid with
-    N >= 8192 first makes the FFT scratch stay resident."""
-    if grid._product_work is None:
-        if grid.num_points >= _RESIDENT_SCRATCH_MIN_N:
-            _keep_fft_scratch_resident()
-        grid._product_work = np.empty((2, 2 * grid.num_points), np.complex128)
-    return grid._product_work
-
-
 def dealiased_product_samples(
     grid: SpectralGrid, factors: list[np.ndarray], out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -228,7 +225,7 @@ def dealiased_product_samples(
         raise ValueError(f"dealiased product takes 2 factors, got {len(factors)}")
     n = grid.num_points
     fine_n, half = 2 * n, n // 2
-    fine = _product_work(grid)
+    fine = grid._product_work
     if factors[1] is factors[0]:
         fine = fine[:1]
     for f, row in zip(factors, fine):

@@ -36,7 +36,12 @@ __all__ = [
     "identity_residual_prop3",
     "identity_residual_combined",
     "check_key_identities",
+    "T_START",
 ]
+
+# the virial identities are asserted, and the accumulators integrate, from
+# this time on
+T_START = 2.0
 
 
 def _sech(x: np.ndarray) -> np.ndarray:
@@ -76,9 +81,9 @@ class WeightBoundReport:
     ratio_at_edge: float
 
 
-def weight_derivative_bounds(x_max: float = 40.0, num: int = 4001) -> WeightBoundReport:
-    """Smallest C with |w''| + |w'''| <= C e^-|x| over a sample sweep."""
-    x = np.linspace(-x_max, x_max, num)
+def weight_derivative_bounds() -> WeightBoundReport:
+    """Smallest C with |w''| + |w'''| <= C e^-|x| over 4001 samples of [-40, 40]."""
+    x = np.linspace(-40.0, 40.0, 4001)
     ratio = (np.abs(weight_g1(x)) + np.abs(weight_g2(x))) * np.exp(np.abs(x))
     return WeightBoundReport(
         smallest_c=float(np.max(ratio)),
@@ -126,15 +131,6 @@ class VirialConfig:
         """-2 theta2 gamma + theta3 alpha, the mixed-term coefficient of the summed identity."""
         return -2.0 * self.theta2 * params.gamma + self.theta3_value(params) * params.alpha
 
-    def lambda1(self, t: float) -> float:
-        return t**self.p1
-
-    def lambda2(self, t: float) -> float:
-        return t ** (self.p1 * self.p2)
-
-    def eta(self, t: float) -> float:
-        return t**self.r1
-
 
 class Weights:
     """Weight product w(x/l1)*g(x/l2) and every derived array the identity
@@ -146,9 +142,9 @@ class Weights:
         if t <= 0:
             raise ValueError(f"weights require t > 0, got {t}")
         self.t = t
-        self.l1 = config.lambda1(t)
-        self.l2 = config.lambda2(t)
-        self.eta = config.eta(t)
+        self.l1 = t**config.p1  # lambda1
+        self.l2 = t ** (config.p1 * config.p2)  # lambda2
+        self.eta = t**config.r1
         x1 = grid.x / self.l1
         x2 = grid.x / self.l2
         self.x1, self.x2 = x1, x2
@@ -206,24 +202,29 @@ def _window_times(states: list) -> float:
     # the test of np.allclose(spacings, h, rtol=1e-8), done on scalars
     if not all(abs((b - a) - h) <= 1e-8 + 1e-8 * abs(h) for a, b in zip(times, times[1:])):
         raise ValueError("snapshots must be uniformly spaced in time")
-    if states[2].time < 2:
-        raise ValueError(f"the identity is asserted for t >= 2, got t={states[2].time}")
+    if states[2].time < T_START:
+        raise ValueError(f"the identity is asserted for t >= {T_START:g}, got t={states[2].time}")
     return h
 
 
-def _j2_pieces(
+def _identity_pieces(
     state: SystemState, config: VirialConfig, params: ModelParams, wt: Weights, j2: float
-):
-    """(J2_int, lhs, cubic, mixed) of the Prop2 identity at ``state.time``,
-    where ``j2`` is functional_J2 there."""
+) -> tuple:
+    """The pieces (J2_int, lhs, cubic, mixed) of the Prop2 identity and
+    (J3_int, grad_term, quartic_term, mixed) of the Prop3 identity at
+    ``state.time``, where ``j2`` is functional_J2 there.  The two mixed
+    terms scale one integral, int |u|^2 v_x w g."""
     grid = state.grid
     t = state.time
-    th2 = config.theta2
+    th2, th3 = config.theta2, config.theta3_value(params)
     v = state.v.samples
     v_sq, vx_sq = state.v.abs_sq, state.v.dx_abs_sq
-    u_sq = state.u.abs_sq
+    u_sq, u_fourth, ux_sq = state.u.abs_sq, state.u.abs_fourth, state.u.dx_abs_sq
     vx = state.v.dx.real
     cubic_dens = state.v.cube / 3.0 - params.gamma * u_sq * v
+    im_dens = np.imag(state.u.times_conj_dx)
+    re_dens = np.real(state.u.times_conj_dx)
+    mixed = integrate(u_sq * vx * wt.wg, grid)
 
     # J_{2,1}: -theta2 eta'/eta^2 * int v^2 w g
     j21 = -(config.r1 / t) * j2
@@ -239,20 +240,7 @@ def _j2_pieces(
 
     lhs = 3.0 * th2 / t * integrate(vx_sq * wt.wpg, grid)
     cubic = 2.0 * th2 / t * integrate(cubic_dens * wt.wpg, grid)
-    mixed = 2.0 * th2 * params.gamma / wt.eta * integrate(u_sq * vx * wt.wg, grid)
-    return j21 + j22 + j23 + j24, lhs, cubic, mixed
-
-
-def _j3_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt: Weights):
-    """(J3_int, grad_term, quartic_term, mixed) of the Prop3 identity at
-    ``state.time``."""
-    grid = state.grid
-    t = state.time
-    th3 = config.theta3_value(params)
-    u_sq, u_fourth, ux_sq = state.u.abs_sq, state.u.abs_fourth, state.u.dx_abs_sq
-    vx = state.v.dx.real
-    im_dens = np.imag(state.u.times_conj_dx)
-    re_dens = np.real(state.u.times_conj_dx)
+    prop2 = (j21 + j22 + j23 + j24, lhs, cubic, 2.0 * th2 * params.gamma / wt.eta * mixed)
 
     # J_{3,1}: theta3 int Im(u conj(u_x)) d/dt[(1/eta) w g]
     dwg_over_eta_dt = -(1.0 / wt.eta) * (
@@ -267,8 +255,9 @@ def _j3_pieces(state: SystemState, config: VirialConfig, params: ModelParams, wt
 
     grad_term = 2.0 * th3 / t * integrate(ux_sq * wt.wpg, grid)
     quartic_term = params.beta * th3 / (2.0 * t) * integrate(u_fourth * wt.wpg, grid)
-    mixed = th3 * params.alpha / wt.eta * integrate(u_sq * vx * wt.wg, grid)
-    return j31 + j321 + j322 + j323, grad_term, quartic_term, mixed
+    prop3 = (j31 + j321 + j322 + j323, grad_term, quartic_term,
+             th3 * params.alpha / wt.eta * mixed)
+    return prop2, prop3
 
 
 class WindowEntry(NamedTuple):
@@ -278,7 +267,7 @@ class WindowEntry(NamedTuple):
     time: float
     j2: float
     j3: float
-    pieces: tuple | None  # (_j2_pieces, _j3_pieces) at t >= 2, else None
+    pieces: tuple | None  # _identity_pieces at t >= 2, else None
 
 
 def window_entry(
@@ -292,8 +281,8 @@ def window_entry(
     j2 = functional_J2(state, config, wt)
     j3 = functional_J3(state, config, params, wt)
     pieces = None
-    if state.time >= 2:
-        pieces = (_j2_pieces(state, config, params, wt, j2), _j3_pieces(state, config, params, wt))
+    if state.time >= T_START:
+        pieces = _identity_pieces(state, config, params, wt, j2)
     return WindowEntry(state.time, j2, j3, pieces)
 
 

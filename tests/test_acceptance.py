@@ -79,7 +79,7 @@ class TestAcceptance:
         h = 1e-5
         fd = (weight_w(x + h) - weight_w(x - h)) / (2.0 * h)
         deriv_err = float(np.max(np.abs(fd - weight_g(x))))
-        rep = weight_derivative_bounds(40.0)
+        rep = weight_derivative_bounds()
         ok = deriv_err < 1e-10 and np.isfinite(rep.smallest_c)
         _verdict(4, f"weight identities (|w'-g| {deriv_err:.2e}, "
                     f"envelope constant {rep.smallest_c:.3f})", ok)
@@ -180,11 +180,11 @@ class TestAcceptance:
         samples = []
 
         def collect(s, _samples=samples):
-            _samples.append(moment_sample(s, params, slope))
+            _samples.append(moment_sample(s, params))
 
         run(state0, StepperConfig(dt=1e-3, t_end=5.0, snapshot_stride=25),
             params, on_snapshot=collect, keep_snapshots=False)
-        rep = drift_check(samples, params, u0_sq)
+        rep = drift_check(samples, params, slope, u0_sq)
         slope_ok = rep.slope_rel_error < 0.01
 
         # dB/dt law: second-order self-convergence of the per-interval error.
@@ -202,11 +202,11 @@ class TestAcceptance:
             rows = []
 
             def collect_b(s, _rows=rows):
-                _rows.append(moment_sample(s, params, slope_b))
+                _rows.append(moment_sample(s, params))
 
             run(state_b, StepperConfig(dt=dt, t_end=2.0, snapshot_stride=50),
                 params, on_snapshot=collect_b, keep_snapshots=False)
-            errors.append(drift_check(rows, params, u0_sq_b).db_dt_max_error)
+            errors.append(drift_check(rows, params, slope_b, u0_sq_b).db_dt_max_error)
         orders = [np.log2(errors[j - 1] / errors[j]) for j in (1, 2)]
         db_ok = all(o >= 1.9 for o in orders)
 

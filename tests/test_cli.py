@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import skdv
-from skdv import cli, conservation, decay, experiments, momentum, virial
+from skdv import cli, conservation, decay, experiments, model, momentum, virial
 from skdv.cli import (
     EXIT_BLOWUP,
     EXIT_BOUNDARY,
@@ -351,6 +351,17 @@ class TestRunCommand:
             # snapshots at t = 0, 0.05, 0.1
             assert len(lines) == 2 + 3
 
+    def test_readme_csv_table_matches_columns(self):
+        # the README lists each file run writes with its columns in order:
+        # the files and columns of cli._CSV_COLUMNS, the headers above
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = {cells[1].strip(" `"): [c.strip("`") for c in cells[2].strip().split(", ")]
+                 for cells in (re.split(r"(?<!\\)\|", line) for line in text.splitlines()
+                               if re.match(r"\| `\w+\.csv` \|", line))}
+        assert list(table) == list(cli._CSV_COLUMNS)
+        assert table == {name: list(columns) for name, columns in cli._CSV_COLUMNS.items()}
+        assert {name: ",".join(columns) for name, columns in table.items()} == EXPECTED_HEADERS
+
     def test_zero_data_rows(self, tmp_path):
         # the zero family reads no amplitude, so the config sets none
         text = BASE_CONFIG.format(out=tmp_path / "out").replace(
@@ -466,10 +477,10 @@ class TestRunCommand:
                 s.time, cfg.window.exponent, cfg.window.center_exponent, *energies,
                 *(acc[tag].value for tag in ("mixed_kdv", "schrodinger_coupling",
                                              "gradient_u", "gradient_v", "quartic_u"))])
-            ms = momentum.moment_sample(s, params, slope)
+            ms = momentum.moment_sample(s, params)
             _same(tables["moments.csv"][i], [s.time, ms.b_moment, ms.u_moment, ms.f_moment,
-                                             ms.predicted_slope_f])
-            _same(tables["flags.csv"][i], [s.time, decay.boundary_mass(s), 0, clipped])
+                                             slope])
+            _same(tables["flags.csv"][i], [s.time, model.boundary_mass(s), 0, clipped])
         assert acc["mixed_kdv"].value > 0  # the accumulators ran
 
     def test_no_gn_constant_outside_the_full_regime(self, tmp_path, monkeypatch):
@@ -669,7 +680,7 @@ class TestExitCodes:
         path, out = _write_config(tmp_path, text)
         assert main(["run", str(path)]) == code
         bmass = [r[1] for r in _rows(out, "flags.csv")]
-        assert bmass[0] <= decay.BOUNDARY_TOLERANCE < bmass[-1]
+        assert bmass[0] <= model.BOUNDARY_TOLERANCE < bmass[-1]
         err = capsys.readouterr().err
         assert ("boundary contamination in strict mode" in err) == (code == EXIT_BOUNDARY)
 
@@ -714,9 +725,9 @@ class TestExperimentOutput:
                               for dt, a, b, c, _, _ in rows]
         # a box of half-length 16 lets the data reach its edge by t = 3
         bmass = rows[-1][5]
-        assert bmass > decay.BOUNDARY_TOLERANCE
+        assert bmass > model.BOUNDARY_TOLERANCE
         assert lines[7] == f"boundary mass at the centre (finest dt): {bmass:.3e}"
-        assert lines[8].startswith(f"  above {decay.BOUNDARY_TOLERANCE:g}: the box edge")
+        assert lines[8].startswith(f"  above {model.BOUNDARY_TOLERANCE:g}: the box edge")
         assert lines[-1] == f"cancellation coefficient: {rows[-1][4]:.3e}"
         assert len(lines) == 10
 

@@ -9,14 +9,14 @@ from skdv.decay import (
     ACCUMULATOR_TAGS,
     AccumulatorState,
     WindowSpec,
-    boundary_mass,
+    _DENSITIES,
     liminf_tracker,
     make_accumulators,
     smallness_gate_check,
     weighted_accumulator_step,
     windowed_energy,
 )
-from skdv.model import InitialData, ModelParams, SystemState, make_initial_data
+from skdv.model import InitialData, ModelParams, SystemState, boundary_mass, make_initial_data
 from skdv.spectral import ComplexField, RealField, SpectralGrid
 from skdv.virial import VirialConfig, Weights
 
@@ -75,11 +75,15 @@ class TestWindowedEnergy:
             b = windowed_energy(fine_state, window, kind, params).value
             assert abs(a - b) < 1e-9
 
-    def test_clipped_flag(self, grid):
+    @pytest.mark.parametrize("kind", list(_DENSITIES))
+    def test_clipped_flag(self, grid, kind):
+        # every kind reads the same window, so `skdv run` takes the flag of
+        # its first windowed energy for all six
         state = _at_time(make_initial_data(InitialData(family="zero"), grid), 4.0)
-        out = windowed_energy(state, WindowSpec(0.5, window_constant=100.0), "grad_v")
+        params = ModelParams(1.0, 1.0, 1.0)
+        out = windowed_energy(state, WindowSpec(0.5, window_constant=100.0), kind, params, 2.5)
         assert out.clipped
-        assert not windowed_energy(state, WindowSpec(0.5), "grad_v").clipped
+        assert not windowed_energy(state, WindowSpec(0.5), kind, params, 2.5).clipped
 
     def test_monotone_in_constant(self, grid):
         state = _at_time(make_initial_data(InitialData(family="gaussian"), grid), 4.0)

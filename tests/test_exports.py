@@ -122,3 +122,14 @@ def test_public_functions_have_a_caller():
     for qualified in PAPER_CHECKS:
         layer, attr = qualified.split(".")
         assert attr in importlib.import_module(f"skdv.{layer}").__all__, qualified
+
+
+def test_no_function_local_relative_imports():
+    # a module reaches one that imports it only through an import inside a
+    # function; without such imports the package's modules form a DAG
+    local = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "skdv").glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text()))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert not local, f"function-local relative imports: {local}"

@@ -18,7 +18,7 @@ class TestMomentSample:
         state = make_initial_data(
             InitialData(family="gaussian", amplitude_u=0.5, amplitude_v=0.4), grid
         )
-        s = moment_sample(state, ModelParams(1.0, 0.0, 1.0), slope=0.0)
+        s = moment_sample(state, ModelParams(1.0, 0.0, 1.0))
         assert abs(s.b_moment) < 1e-12
         assert abs(s.u_moment) < 1e-12
         assert abs(s.f_moment) < 1e-12
@@ -30,7 +30,7 @@ class TestMomentSample:
             ComplexField(grid, np.zeros(grid.num_points, complex)),
             RealField(grid, v), 0.0,
         )
-        s = moment_sample(state, ModelParams(1.0, 0.0, 1.0), slope=0.0)
+        s = moment_sample(state, ModelParams(1.0, 0.0, 1.0))
         assert s.b_moment == pytest.approx(np.sqrt(np.pi) / 2.0, rel=1e-12)
 
     def test_f_combination(self, grid):
@@ -38,7 +38,7 @@ class TestMomentSample:
         v = np.exp(-((grid.x + 2.0) ** 2))
         state = SystemState(ComplexField(grid, u), RealField(grid, v), 0.0)
         params = ModelParams(2.0, 0.0, 0.5)
-        s = moment_sample(state, params, slope=0.0)
+        s = moment_sample(state, params)
         assert s.f_moment == pytest.approx(
             -(2.0 * 2.0 / 0.5) * s.b_moment + s.u_moment, rel=1e-13
         )
@@ -46,7 +46,7 @@ class TestMomentSample:
     def test_gamma_zero_rejected(self, grid):
         state = make_initial_data(InitialData(family="zero"), grid)
         with pytest.raises(ValueError):
-            moment_sample(state, ModelParams(1.0, 0.0, 0.0), slope=0.0)
+            moment_sample(state, ModelParams(1.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             predicted_slope(state, ModelParams(1.0, 0.0, 0.0))
 
@@ -77,32 +77,28 @@ def _synthetic_samples(slope, n=20, b_rate=0.3):
         b = b_rate * t + 0.1
         f = slope * t - 0.4
         samples.append(MomentSample(
-            time=float(t), b_moment=b, u_moment=0.0, f_moment=f,
-            predicted_slope_f=slope, v_l2_sq=v_sq,
+            time=float(t), b_moment=b, u_moment=0.0, f_moment=f, v_l2_sq=v_sq,
         ))
     return samples
 
 
 class TestDriftCheck:
     def test_exact_affine_series(self):
-        rep = drift_check(_synthetic_samples(1.5), ModelParams(1.0, 0.0, 1.0), 0.0)
+        rep = drift_check(_synthetic_samples(1.5), ModelParams(1.0, 0.0, 1.0), 1.5, 0.0)
         assert rep.slope_rel_error < 1e-12
         assert rep.fit_residual < 1e-12
         assert rep.db_dt_max_error < 1e-12
         assert not rep.slope_near_zero
 
     def test_detects_wrong_slope(self):
-        samples = _synthetic_samples(1.5)
-        bad = [MomentSample(s.time, s.b_moment, s.u_moment, s.f_moment,
-                            predicted_slope_f=3.0, v_l2_sq=s.v_l2_sq) for s in samples]
-        rep = drift_check(bad, ModelParams(1.0, 0.0, 1.0), 0.0)
+        rep = drift_check(_synthetic_samples(1.5), ModelParams(1.0, 0.0, 1.0), 3.0, 0.0)
         assert rep.slope_rel_error == pytest.approx(0.5, rel=1e-10)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
-            drift_check(_synthetic_samples(1.0, n=5), ModelParams(1.0, 0.0, 1.0), 0.0)
+            drift_check(_synthetic_samples(1.0, n=5), ModelParams(1.0, 0.0, 1.0), 1.0, 0.0)
 
     def test_near_zero_slope_flagged(self):
         rep = drift_check(_synthetic_samples(0.0, b_rate=0.0),
-                          ModelParams(1.0, 0.0, 1.0), 0.0)
+                          ModelParams(1.0, 0.0, 1.0), 0.0, 0.0)
         assert rep.slope_near_zero

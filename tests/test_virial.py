@@ -57,7 +57,7 @@ class TestWeights:
         assert np.allclose(weight_g(x), weight_g(-x))
 
     def test_exponential_bound(self):
-        rep = weight_derivative_bounds(40.0)
+        rep = weight_derivative_bounds()
         assert np.isfinite(rep.smallest_c)
         assert rep.smallest_c < 5.0
         # the bound is attained away from the edges, so the edge ratio is
@@ -69,7 +69,8 @@ class TestVirialConfig:
     def test_r1_derived(self):
         cfg = VirialConfig(p1=0.25, p2=2.5)
         assert cfg.r1 == pytest.approx(0.75)
-        assert cfg.eta(4.0) * cfg.lambda1(4.0) == pytest.approx(4.0)
+        wt = Weights(SpectralGrid(2, 1.0), cfg, 4.0)
+        assert wt.eta * wt.l1 == pytest.approx(4.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -124,8 +125,9 @@ class TestWeightTables:
         grid = SpectralGrid(512, 64.0)
         cfg = VirialConfig()
         wt = Weights(grid, cfg, t)
-        x1, x2 = grid.x / cfg.lambda1(t), grid.x / cfg.lambda2(t)
-        l1, l2 = cfg.lambda1(t), cfg.lambda2(t)
+        l1, l2 = t**cfg.p1, t ** (cfg.p1 * cfg.p2)
+        assert (wt.l1, wt.l2) == (l1, l2)
+        x1, x2 = grid.x / l1, grid.x / l2
         expected = {
             "w": weight_w(x1),
             "g": weight_g(x2),
