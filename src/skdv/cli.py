@@ -1,4 +1,4 @@
-"""Configuration parsing, run orchestration and CSV emission.
+"""Configuration parsing, the output files and the exit codes.
 
 Configs are flat INI documents; unknown sections or keys are rejected so a
 typo cannot silently fall back to a default.  Every CSV starts with a
@@ -16,7 +16,6 @@ import configparser
 import contextlib
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,9 +33,8 @@ except ImportError:
         from hashlib import sha256
 
 from . import conservation, decay, experiments, momentum, virial
-from .integrator import BlowUpError, StepperConfig, run as run_integrator
-from .model import (BOUNDARY_TOLERANCE, InitialData, ModelParams, SystemState, boundary_mass,
-                    make_initial_data)
+from .integrator import BlowUpError, StepperConfig
+from .model import BOUNDARY_TOLERANCE, InitialData, ModelParams, SystemState, make_initial_data
 from .spectral import SpectralGrid, h1_norm
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
@@ -191,128 +189,35 @@ def _checked(fn, *args):
         raise ConfigError(str(exc)) from exc
 
 
-# (decay.csv column, windowed_energy kind): the windowed energies `skdv run`
-# writes, in the order of their columns
-_WINDOWED = (("E_mixed", "mixed"), ("E_coupling", "coupling"), ("E_gradu", "grad_u"),
-             ("E_gradv", "grad_v"), ("E_uk", "power_u"), ("E_vk", "power_v"))
-# (decay.csv column, accumulator tag): the accumulators `skdv run` advances,
-# in the order of their columns
-_ACC_COLUMNS = (
-    ("acc_mixed", "mixed_kdv"),
-    ("acc_coupling", "schrodinger_coupling"),
-    ("acc_gradu", "gradient_u"),
-    ("acc_gradv", "gradient_v"),
-    ("acc_quartic", "quartic_u"),
-)
-# each CSV `skdv run` writes -> its columns, in the order of its rows
-_CSV_COLUMNS = {
-    "invariants.csv": ("t", "mass", "q", "energy", "u_h1", "v_h1", "margin"),
-    "virial.csv": ("t", "J2", "J3", "res_prop2", "res_prop3", "res_combined"),
-    "decay.csv": ("t", "window_p", "window_m", *(column for column, _ in _WINDOWED),
-                  *(column for column, _ in _ACC_COLUMNS)),
-    "moments.csv": ("t", "B", "Umom", "F", "predicted_slope"),
-    "flags.csv": ("t", "boundary_mass", "blowup", "window_clipped"),
-}
-
-
 def _initial_state(cfg: RunConfig) -> SystemState:
     """The configured initial state.  Data with a boundary tail above
     BOUNDARY_TOLERANCE, or a nonpositive width or soliton speed, is a
     config error."""
-    return _checked(make_initial_data, cfg.initial, cfg.grid, BOUNDARY_TOLERANCE)
+    return _checked(make_initial_data, cfg.initial, cfg.grid)
 
 
 def _cmd_run(cfg: RunConfig) -> int:
-    """Writes rows while stepping and holds no snapshot past its callback:
-    the residual window keeps numbers (t, J2, J3 and the identity pieces),
-    a virial.csv row waits two snapshots for its window and a flags.csv row
-    one, so that the last finite snapshot of a blow-up can carry the flag."""
-    params, vcfg = cfg.params, cfg.virial
-    _checked(vcfg.theta3_value, params)
+    """Writes the rows of experiments.run_tables to experiments.CSV_COLUMNS'
+    files; a blow-up propagates to ``main``, which exits with EXIT_BLOWUP."""
+    params = cfg.params
+    _checked(cfg.virial.theta3_value, params)
     state0 = _initial_state(cfg)
     slope = _checked(momentum.predicted_slope, state0, params)
     phi = (conservation.phi_smallness(h1_norm(state0.u), h1_norm(state0.v), params,
                                       conservation.estimate_gn_constant(cfg.grid)).phi
            if params.full_regime else np.nan)
-    accumulators = {tag: decay.AccumulatorState(tag) for _, tag in _ACC_COLUMNS}
 
-    out = cfg.output_dir
-    window = deque(maxlen=5)  # virial.WindowEntry of the latest snapshots
-    flags_row = None  # the newest flags.csv row
-    written = 0
-    boundary_hit = False
-    power = 2.0 + cfg.power_exponent
-    blowup_time = None
     with contextlib.ExitStack() as files:
-        write = {name: _open_csv(files, out / name, cfg.config_hash, columns)
-                 for name, columns in _CSV_COLUMNS.items()}
+        write = {name: _open_csv(files, cfg.output_dir / name, cfg.config_hash, columns)
+                 for name, columns in experiments.CSV_COLUMNS.items()}
+        written, bmass = experiments.run_tables(
+            state0, cfg.stepper, params, cfg.virial, cfg.window, cfg.power_exponent, phi, slope,
+            lambda name, row: write[name](*row))
 
-        def virial_row(entry, residuals=(np.nan,) * 3):
-            write["virial.csv"](entry.time, entry.j2, entry.j3, *residuals)
-
-        def residual_columns():
-            """prop2, prop3 and combined residuals at the window's centre; nan
-            under 5 snapshots, after an uneven last stride or before t = 2."""
-            try:
-                r2 = virial.identity_residual_prop2(window)
-                r3 = virial.identity_residual_prop3(window)
-            except ValueError:
-                return (np.nan,) * 3
-            combined = virial.identity_residual_combined(r2, r3, vcfg)
-            return r2.residual, r3.residual, np.nan if combined is None else combined.residual
-
-        def on_snapshot(s):
-            nonlocal written, boundary_hit, flags_row
-            written += 1
-            wt = virial.Weights(s.grid, vcfg, s.time) if s.time > 0 else None
-            window.append(virial.window_entry(s, vcfg, params, wt))
-            if len(window) >= 3:
-                virial_row(window[-3], residual_columns())
-
-            inv = conservation.invariant_sample(s, params)
-            margin = phi - (inv.u_h1 + inv.v_h1) if np.isfinite(phi) else np.nan
-            write["invariants.csv"](s.time, inv.mass, inv.q_momentum, inv.energy, inv.u_h1,
-                                    inv.v_h1, margin)
-
-            energies, clipped = [np.nan] * len(_WINDOWED), False
-            if s.time > 0:
-                found = [decay.windowed_energy(s, cfg.window, kind, params, power)
-                         for _, kind in _WINDOWED]
-                energies = [we.value for we in found]
-                clipped = found[0].clipped  # every kind reads the same window
-            if s.time >= virial.T_START:
-                decay.weighted_accumulator_step(
-                    s, vcfg, params, accumulators, cfg.power_exponent, weights=wt
-                )
-            write["decay.csv"](s.time, cfg.window.exponent, cfg.window.center_exponent,
-                               *energies, *(a.value for a in accumulators.values()))
-
-            ms = momentum.moment_sample(s, params)
-            write["moments.csv"](s.time, ms.b_moment, ms.u_moment, ms.f_moment, slope)
-
-            bmass = boundary_mass(s)
-            boundary_hit = boundary_hit or bmass > BOUNDARY_TOLERANCE
-            if flags_row is not None:
-                write["flags.csv"](*flags_row)
-            flags_row = [s.time, bmass, False, clipped]
-
-        try:
-            run_integrator(state0, cfg.stepper, params, on_snapshot=on_snapshot,
-                           keep_snapshots=False)
-        except BlowUpError as exc:
-            blowup_time = exc.time
-        for entry in list(window)[-2:]:
-            virial_row(entry)
-        flags_row[2] = blowup_time is not None  # the last finite snapshot
-        write["flags.csv"](*flags_row)
-
-    if blowup_time is not None:
-        print(f"blow-up detected at t={blowup_time:g}", file=sys.stderr)
-        return EXIT_BLOWUP
-    if cfg.strict and boundary_hit:
+    if cfg.strict and bmass > BOUNDARY_TOLERANCE:
         print("boundary contamination in strict mode", file=sys.stderr)
         return EXIT_BOUNDARY
-    print(f"run complete: {written} snapshots written to {out}")
+    print(f"run complete: {written} snapshots written to {cfg.output_dir}")
     return EXIT_OK
 
 
@@ -352,8 +257,8 @@ def _cmd_scan_decay(cfg: RunConfig) -> int:
         print(f"{label}: running min {report.running_min:.6e}, "
               f"block minima {[f'{m:.3e}' for m in report.block_minima]}, "
               f"log-log slope {report.loglog_slope:.3f}, decayed={report.decayed}")
-    for tag in decay.ACCUMULATOR_TAGS:
-        print(f"accumulator {tag}: {scan.accumulators[tag].value:.6e}")
+    for tag, value in scan.acc_rows[-1].items():
+        print(f"accumulator {tag}: {value:.6e}")
     return EXIT_OK
 
 

@@ -207,7 +207,7 @@ def weighted_accumulator_step(
     accumulators: dict,
     power_exponent: float = 0.5,
     weights: Weights | None = None,
-) -> dict:
+) -> None:
     """Advance every accumulator by the trapezoidal rule with the integrand
 
         I(t) = (1/t) int dens(x,t) w'(x/lambda1) g(x/lambda2) dx
@@ -215,7 +215,7 @@ def weighted_accumulator_step(
     for that accumulator's density, with |v|^(2 + power_exponent) for
     ``power_k``.  The first call (t >= 2) only primes the integrand memory.
     The weight is the ``wpg`` of the virial weights at ``state.time``, which
-    ``weights`` may pass already built.  Mutates and returns ``accumulators``.
+    ``weights`` may pass already built.  Mutates ``accumulators``.
     """
     t = state.time
     if t < T_START:
@@ -232,7 +232,6 @@ def weighted_accumulator_step(
             acc.value += 0.5 * (integrand + acc.last_integrand) * (t - acc.last_time)
         acc.last_time = t
         acc.last_integrand = integrand
-    return accumulators
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,7 @@ def boundary_mass(state: SystemState) -> float:
 
 
 def make_initial_data(
-    spec: InitialData, grid: SpectralGrid, boundary_threshold: float = 1e-8
+    spec: InitialData, grid: SpectralGrid, boundary_threshold: float = BOUNDARY_TOLERANCE
 ) -> SystemState:
     """Realize an initial-data spec on a grid, rejecting data whose tail
     mass would contaminate the periodic box."""

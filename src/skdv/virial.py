@@ -141,7 +141,6 @@ class Weights:
     def __init__(self, grid, config: VirialConfig, t: float):
         if t <= 0:
             raise ValueError(f"weights require t > 0, got {t}")
-        self.t = t
         self.l1 = t**config.p1  # lambda1
         self.l2 = t ** (config.p1 * config.p2)  # lambda2
         self.eta = t**config.r1

@@ -353,13 +353,14 @@ class TestRunCommand:
 
     def test_readme_csv_table_matches_columns(self):
         # the README lists each file run writes with its columns in order:
-        # the files and columns of cli._CSV_COLUMNS, the headers above
+        # the files and columns of experiments.CSV_COLUMNS, the headers above
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         table = {cells[1].strip(" `"): [c.strip("`") for c in cells[2].strip().split(", ")]
                  for cells in (re.split(r"(?<!\\)\|", line) for line in text.splitlines()
                                if re.match(r"\| `\w+\.csv` \|", line))}
-        assert list(table) == list(cli._CSV_COLUMNS)
-        assert table == {name: list(columns) for name, columns in cli._CSV_COLUMNS.items()}
+        assert list(table) == list(experiments.CSV_COLUMNS)
+        assert table == {name: list(columns)
+                         for name, columns in experiments.CSV_COLUMNS.items()}
         assert {name: ",".join(columns) for name, columns in table.items()} == EXPECTED_HEADERS
 
     def test_zero_data_rows(self, tmp_path):
@@ -483,6 +484,27 @@ class TestRunCommand:
             _same(tables["flags.csv"][i], [s.time, model.boundary_mass(s), 0, clipped])
         assert acc["mixed_kdv"].value > 0  # the accumulators ran
 
+    def test_decay_csv_holds_the_decay_scan(self, tmp_path):
+        # stride 1 past t = 2: decay.csv's rows at t >= 2 carry decay_scan's
+        # series bit for bit (a double round-trips through %.17g)
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "dt = 0.01\nt_end = 0.1\nsnapshot_stride = 5",
+            "dt = 0.05\nt_end = 2.3\nsnapshot_stride = 1",
+        ).replace("beta = 0.0", "beta = 0.5")
+        path, out = _write_config(tmp_path, text)
+        assert main(["run", str(path)]) == EXIT_OK
+        cfg = load_config(path)
+        scan = experiments.decay_scan(make_initial_data(cfg.initial, cfg.grid), cfg.stepper,
+                                      cfg.params, cfg.window, cfg.virial, cfg.power_exponent)
+        columns = experiments.CSV_COLUMNS["decay.csv"]
+        rows = [dict(zip(columns, row)) for row in _rows(out, "decay.csv") if row[0] >= 2]
+        assert len(rows) == 7  # t = 2.0 ... 2.3
+        assert [row["t"] for row in rows] == scan.times
+        assert [row["E_mixed"] for row in rows] == scan.mixed
+        assert [row["E_gradv"] for row in rows] == scan.grad_v
+        for column, tag in experiments.ACC_COLUMNS:
+            assert [row[column] for row in rows] == [acc[tag] for acc in scan.acc_rows], tag
+
     def test_no_gn_constant_outside_the_full_regime(self, tmp_path, monkeypatch):
         # with alpha*gamma <= 0 there is no Phi: the margin column is nan and
         # the interpolation constant is never estimated
@@ -543,7 +565,7 @@ class TestRunCommand:
             seen.append(kwargs.get("keep_snapshots"))
             return run(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "run_integrator", spy)
+        monkeypatch.setattr(experiments, "run", spy)
         assert main(["run", str(path)]) == EXIT_OK
         assert seen == [False]
 
@@ -565,7 +587,7 @@ class TestRunCommand:
 
             return run(*args, on_snapshot=watched, **kwargs)
 
-        monkeypatch.setattr(cli, "run_integrator", spy)
+        monkeypatch.setattr(experiments, "run", spy)
         assert main(["run", str(path)]) == EXIT_OK
         assert len(refs) == 11
         for i, released in enumerate(dead):
@@ -668,6 +690,25 @@ class TestExitCodes:
         assert err.startswith("config error:") and "boundary tail" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("width, code", [(2.8, EXIT_OK), (3.0, EXIT_CONFIG)])
+    def test_one_clean_box_threshold(self, tmp_path, capsys, width, code):
+        # Gaussians of width 2.8 in a box of half-length 8 leave a tail of
+        # 2.4e-7, and of width 3.0 one of 1.4e-6: the library's default and
+        # `skdv run` accept and reject the same data, at BOUNDARY_TOLERANCE
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "n = 256\nl = 32.0", "n = 256\nl = 8.0"
+        ).replace("amplitude_v = 0.2", f"amplitude_v = 0.2\nwidth_u = {width}\nwidth_v = {width}")
+        path, _ = _write_config(tmp_path, text)
+        cfg = load_config(path)
+        tail = model.boundary_mass(make_initial_data(cfg.initial, cfg.grid, 1.0))
+        assert (tail <= model.BOUNDARY_TOLERANCE) == (code == EXIT_OK), tail
+        if code == EXIT_OK:
+            make_initial_data(cfg.initial, cfg.grid)
+        else:
+            with pytest.raises(ValueError, match="boundary tail"):
+                make_initial_data(cfg.initial, cfg.grid)
+        assert main(["run", str(path)]) == code
+
     @pytest.mark.parametrize("strict, code", [("true", EXIT_BOUNDARY), ("false", EXIT_OK)])
     def test_boundary_contamination(self, tmp_path, capsys, strict, code):
         # a packet with carrier 8 moves at group velocity 16: it starts clear
@@ -741,12 +782,12 @@ class TestExperimentOutput:
         assert main(["scan-decay", str(path)]) == EXIT_OK
         [scan] = returned
         assert scan.times == [2.0, 2.1, 2.2] and len(scan.acc_rows) == 3
-        assert scan.accumulators["mixed_kdv"].value > 0
+        assert scan.acc_rows[-1]["mixed_kdv"] > 0
         lines = capsys.readouterr().out.splitlines()
         for line, vals in zip(lines, (scan.mixed, scan.grad_v)):
             report = decay.liminf_tracker(scan.times, vals)
             assert f"running min {report.running_min:.6e}," in line
-        assert lines[2:] == [f"accumulator {tag}: {scan.accumulators[tag].value:.6e}"
+        assert lines[2:] == [f"accumulator {tag}: {scan.acc_rows[-1][tag]:.6e}"
                              for tag in decay.ACCUMULATOR_TAGS]
 
     def test_convergence(self, tmp_path, capsys, monkeypatch):

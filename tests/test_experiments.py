@@ -1,7 +1,17 @@
 """Tests for the shared experiments."""
 
-from skdv.experiments import analytic_errors
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from skdv.cli import load_config
+from skdv.experiments import analytic_errors, decay_scan
+from skdv.model import make_initial_data
 from skdv.spectral import SpectralGrid
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_soliton_reference_off_the_grid():
@@ -9,3 +19,34 @@ def test_soliton_reference_off_the_grid():
     # by whole cells would leave an error floor of its own
     _, err_v = analytic_errors(SpectralGrid(256, 50.0))
     assert err_v < 1e-3
+
+
+def test_bench_decay_loop_is_the_decay_scan(tmp_path):
+    # bench/child.py streams criterion 07's series through a decay loop of
+    # its own; on criterion 07's data it must give decay_scan's numbers
+    ini = tmp_path / "run.ini"
+    ini.write_text("[grid]\nn = 1024\nl = 64.0\n\n"
+                   "[stepper]\ndt = 0.01\nt_end = 3.0\nsnapshot_stride = 10\n\n"
+                   "[model]\nalpha = 1.0\nbeta = 1.0\ngamma = 1.0\n\n"
+                   "[initial]\nfamily = modulated_gaussian\namplitude_u = 0.25\n"
+                   "amplitude_v = 0.0\nwidth_u = 1.0\ncarrier = 0.75\n\n"
+                   "[window]\np = 0.5\n")
+    job = {"mode": "run", "cli": False, "trace": False, "ini_path": str(ini),
+           "result_path": str(tmp_path / "result.json")}
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), str(tmp_path / "job.json")],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=300)
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert proc.returncode == 0 and result["ok"], result.get("error", proc.stderr)
+
+    cfg = load_config(ini)
+    scan = decay_scan(make_initial_data(cfg.initial, cfg.grid), cfg.stepper, cfg.params,
+                      cfg.window, cfg.virial, cfg.power_exponent)
+    series = result["series"]
+    assert len(series["t"]) == 11  # t = 2.0 ... 3.0
+    assert series["t"] == scan.times
+    assert series["mixed"] == scan.mixed
+    assert series["grad_v"] == scan.grad_v
+    assert series["acc"] == scan.acc_rows

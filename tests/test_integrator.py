@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from skdv import conservation
 from skdv.integrator import (
     BlowUpError,
     StepperConfig,
@@ -98,6 +99,7 @@ class TestRun:
             errs[scheme] = np.max(np.abs(out.u.samples - ref.u.samples))
         assert errs["strang"] < errs["lie"] / 5
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_on_overflow(self):
         # huge focusing data on a coarse grid with a large step overflows
         grid = SpectralGrid(64, 8.0)
@@ -304,6 +306,31 @@ class TestExactSymmetries:
         b = run(rotated, self.STEPPER, self.PARAMS).final_state
         assert np.max(np.abs(b.u.samples - phase * a.u.samples)) < 1e-12
         assert np.max(np.abs(b.v.samples - a.v.samples)) < 1e-12
+
+
+    @pytest.mark.parametrize("lam", [2.0, 0.5])
+    @pytest.mark.parametrize("coefficients", [(1.0, 1.0, 1.0), (0.7, -0.3, 1.9)])
+    def test_coefficient_scaling(self, coefficients, lam):
+        # (alpha, beta, gamma, u, v) -> (alpha, beta/lam^2, gamma/lam^2, lam*u, v)
+        # takes solutions to solutions; for a power of two every product
+        # scales exactly in binary, so the discrete run follows it bit for bit
+        grid = SpectralGrid(512, 32.0)
+        alpha, beta, gamma = coefficients
+        params = ModelParams(alpha, beta, gamma)
+        scaled_params = ModelParams(alpha, beta / lam**2, gamma / lam**2)
+        state0 = make_initial_data(
+            InitialData(family="modulated_gaussian", amplitude_u=0.5, amplitude_v=0.4,
+                        width_u=2.0, width_v=2.0, carrier=0.5), grid)
+        scaled0 = _state(grid, lam * state0.u.samples, state0.v.samples)
+        stepper = StepperConfig(dt=1e-2, t_end=3.0, snapshot_stride=10**9)  # 300 steps
+        a = run(state0, stepper, params, keep_snapshots=False).final_state
+        b = run(scaled0, stepper, scaled_params, keep_snapshots=False).final_state
+        assert np.array_equal(b.u.samples, lam * a.u.samples)
+        assert np.array_equal(b.v.samples, a.v.samples)
+        assert conservation.mass(b) == lam**2 * conservation.mass(a)
+        assert (conservation.q_momentum(b, scaled_params)
+                == conservation.q_momentum(a, params))
+        assert conservation.energy(b, scaled_params) == conservation.energy(a, params)
 
 
 class TestConvergenceOrder:
