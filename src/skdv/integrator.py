@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .model import ModelParams, SystemState
-from .spectral import ComplexField, RealField, dealiased_product_samples
+from .spectral import ComplexField, RealField, dealiased_product_samples, fourier_multiply
 
 __all__ = [
     "StepperConfig",
@@ -94,13 +94,10 @@ class _Work:
 
 def _disperse(work: _Work, factors):
     """Free evolution through ``factors`` from ``_dispersion_factors``, in
-    place: one two-row ``fft``, one multiply and one two-row ``ifft`` over
-    u and v, each row bit for bit its one-row transform.  v keeps the real
-    part only."""
-    uv = work.uv
-    np.fft.fft(uv, out=uv)
-    uv *= factors
-    np.fft.ifft(uv, out=uv)
+    place: one ``fourier_multiply`` over u and v, whose two-row transforms
+    give each row bit for bit its one-row transform.  v keeps the real part
+    only."""
+    fourier_multiply(work.uv, factors, out=work.uv)
     work.v.imag = 0.0
 
 
@@ -122,11 +119,7 @@ def _nonlinear_substep(work: _Work, dt, params: ModelParams):
         w_sq = dealiased_product_samples(grid, [w, w], out=hat).real
         np.multiply(0.5, w_sq, out=k)
         k -= gamma_term
-        hat[...] = k
-        np.fft.fft(hat, out=hat)
-        np.multiply(grid.ik, hat, out=hat)
-        np.fft.ifft(hat, out=hat)
-        return np.negative(hat.real, out=k)
+        return np.negative(fourier_multiply(k, grid.ik, out=hat).real, out=k)
 
     # RK4: v + (dt/6)*(k1 + 2*k2 + 2*k3 + k4), the sum taken left to right
     # as the stages come, so that one array holds each new stage

@@ -120,8 +120,14 @@ def outer_fraction(grid: SpectralGrid, dens: np.ndarray) -> float:
 
 
 def boundary_mass(state: SystemState) -> float:
-    """Fraction of int(|u|^2 + v^2) carried by the outer 10% of the box."""
-    return outer_fraction(state.grid, state.u.abs_sq + state.v.abs_sq)
+    """Fraction of int(|u|^2 + v^2) carried by the outer 10% of the box;
+    where that sum overflows, the fraction of |u| and |v| over their largest."""
+    dens = state.u.abs_sq + state.v.abs_sq
+    if not np.isfinite(dens.sum()):
+        u, v = state.u.abs, np.abs(state.v.samples)
+        scale = max(u.max(), v.max())
+        dens = (u / scale) ** 2 + (v / scale) ** 2
+    return outer_fraction(state.grid, dens)
 
 
 def make_initial_data(

@@ -1,5 +1,6 @@
-"""Periodic spectral discretization: grids, fields, the first spectral
-derivative and dealiased products of sample arrays, quadrature and norms.
+"""Periodic spectral discretization, where every transform of the package
+runs: grids, fields, Fourier multipliers (the first spectral derivative
+among them), dealiased products of sample arrays, quadrature and norms.
 
 The real line is approximated by the periodic box [-L, L).  The quadratic
 products of the stepper, |u|^2 and v^2, are formed on a zero-padded fine
@@ -18,6 +19,7 @@ __all__ = [
     "SpectralGrid",
     "RealField",
     "ComplexField",
+    "fourier_multiply",
     "derivative_samples",
     "dealiased_product_samples",
     "integrate",
@@ -26,6 +28,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class SpectralGrid:
     """Uniform periodic grid on [-L, L) with N points (N a power of two, at
     least 2: the dealiased products need a Nyquist mode).
@@ -35,33 +38,23 @@ class SpectralGrid:
     first-derivative multiplier ``ik``.
     """
 
-    def __init__(self, num_points: int, half_length: float):
-        n = int(num_points)
+    num_points: int
+    half_length: float
+
+    def __post_init__(self):
+        n = int(self.num_points)
         if n < 2 or (n & (n - 1)) != 0:
-            raise ValueError(f"num_points must be a power of two >= 2, got {num_points}")
-        if not (half_length > 0):
-            raise ValueError(f"half_length must be positive, got {half_length}")
-        self.num_points = n
-        self.half_length = float(half_length)
-        self.spacing = 2.0 * self.half_length / n
-        self.x = -self.half_length + self.spacing * np.arange(n)
+            raise ValueError(f"num_points must be a power of two >= 2, got {self.num_points}")
+        if not (self.half_length > 0):
+            raise ValueError(f"half_length must be positive, got {self.half_length}")
+        object.__setattr__(self, "num_points", n)
+        object.__setattr__(self, "half_length", float(self.half_length))
+        object.__setattr__(self, "spacing", 2.0 * self.half_length / n)
+        object.__setattr__(self, "x", -self.half_length + self.spacing * np.arange(n))
         # k_j = 2*pi*fftfreq = pi*j/L in FFT order
-        self.wavenumbers = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
+        object.__setattr__(self, "wavenumbers", 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing))
         # the Nyquist mode has no well-defined sign; zero it
-        self.ik = 1j * self.wavenumbers * (np.arange(n) != n // 2)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SpectralGrid)
-            and other.num_points == self.num_points
-            and other.half_length == self.half_length
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num_points, self.half_length))
-
-    def __repr__(self) -> str:
-        return f"SpectralGrid(num_points={self.num_points}, half_length={self.half_length})"
+        object.__setattr__(self, "ik", 1j * self.wavenumbers * (np.arange(n) != n // 2))
 
     @cached_property
     def _product_work(self) -> np.ndarray:
@@ -73,24 +66,30 @@ class SpectralGrid:
         return np.empty((2, 2 * self.num_points), np.complex128)
 
 
-def _validate_samples(grid: SpectralGrid, samples: np.ndarray) -> None:
-    if samples.shape != (grid.num_points,):
-        raise ValueError(
-            f"samples length {samples.shape} does not match grid size {grid.num_points}"
-        )
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("field contains non-finite samples")
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
 
 
+@dataclass(frozen=True)
 class _Samples:
-    """Arrays derived from the samples, each computed on first use and kept
-    read-only, so that the diagnostics of one snapshot share them.  Each is
-    the exact expression its docstring gives, so sharing changes no bit."""
+    """Samples of dtype ``DTYPE`` on a spectral grid, and arrays derived
+    from them, each computed on first use and kept read-only, so that the
+    diagnostics of one snapshot share them.  Each is the exact expression
+    its docstring gives, so sharing changes no bit."""
+
+    grid: SpectralGrid
+    samples: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        samples = np.asarray(self.samples, dtype=self.DTYPE)
+        if samples.shape != (self.grid.num_points,):
+            raise ValueError(
+                f"samples length {samples.shape} does not match grid size {self.grid.num_points}"
+            )
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("field contains non-finite samples")
+        object.__setattr__(self, "samples", samples)
 
     @cached_property
     def dx(self) -> np.ndarray:
@@ -102,13 +101,7 @@ class _Samples:
 class RealField(_Samples):
     """Real-valued samples on a spectral grid."""
 
-    grid: SpectralGrid
-    samples: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        _validate_samples(self.grid, samples)
-        object.__setattr__(self, "samples", samples)
+    DTYPE = np.float64
 
     @cached_property
     def abs_sq(self) -> np.ndarray:
@@ -130,13 +123,7 @@ class RealField(_Samples):
 class ComplexField(_Samples):
     """Complex-valued samples on a spectral grid."""
 
-    grid: SpectralGrid
-    samples: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        _validate_samples(self.grid, samples)
-        object.__setattr__(self, "samples", samples)
+    DTYPE = np.complex128
 
     @cached_property
     def abs(self) -> np.ndarray:
@@ -167,11 +154,23 @@ class ComplexField(_Samples):
 Field = RealField | ComplexField
 
 
+def fourier_multiply(
+    samples: np.ndarray, multiplier: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``ifft(fft(samples) * multiplier)`` along the last axis; complex
+    output, written into ``out`` (complex, the shape of ``samples``) when
+    given, which may be ``samples`` itself.  The spectrum is taken into
+    ``out`` and multiplied in place, as the first operand."""
+    hat = np.fft.fft(samples, out=out)
+    hat *= multiplier
+    return np.fft.ifft(hat, out=hat)
+
+
 def derivative_samples(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
     """First spectral derivative of raw samples; complex output.  The
     Nyquist mode is zeroed, so real samples give a real derivative up to
     round-off."""
-    return np.fft.ifft(np.fft.fft(samples) * grid.ik)
+    return fourier_multiply(samples, grid.ik)
 
 
 # numpy.fft allocates a scratch array, 16 bytes a point, on every call.

@@ -405,6 +405,18 @@ class TestRunCommand:
         flags = [r.split(",") for r in (out / "flags.csv").read_text().splitlines()[2:]]
         assert [r[2] for r in flags] == ["0", "0", "1"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_row_has_a_finite_boundary_mass(self, tmp_path):
+        # the last finite snapshot, at t = 1, holds v near 4.7e231, so
+        # |u|^2 + v^2 overflows though u and v are finite
+        text = BLOWUP_CONFIG.format(out=tmp_path / "out").replace(
+            "t_end = 20.0", "t_end = 20.0\nsnapshot_stride = 1")
+        path, out = _write_config(tmp_path, text)
+        assert main(["run", str(path)]) == EXIT_BLOWUP
+        last = (out / "flags.csv").read_text().splitlines()[-1].split(",")
+        assert last[0] == "1" and last[2] == "1"
+        assert 0.0 <= float(last[1]) <= 1.0
+
     def test_residual_columns_match_public_functions(self, tmp_path, monkeypatch):
         # stride 1 past t = 2: the residual columns must equal the public
         # window functions bit for bit, with J2 and J3 evaluated once per
@@ -483,6 +495,60 @@ class TestRunCommand:
                                              slope])
             _same(tables["flags.csv"][i], [s.time, model.boundary_mass(s), 0, clipped])
         assert acc["mixed_kdv"].value > 0  # the accumulators ran
+
+    # (beta, gamma, u) -> (beta/4, gamma/4, 2u) maps solutions to solutions,
+    # and every product of the discretization then scales by a power of two,
+    # exactly in binary: column -> exponent of the factor 2^j
+    COEFFICIENT_MAP_EXPONENTS = {
+        **dict.fromkeys(("t", "q", "energy", "v_h1", "J2", "J3", "res_prop2", "res_prop3",
+                         "res_combined", "window_p", "window_m", "E_mixed", "E_gradv", "E_vk",
+                         "acc_mixed", "acc_gradv", "B", "blowup", "window_clipped"), 0),
+        **dict.fromkeys(("u_h1", "E_coupling", "acc_coupling"), 1),
+        **dict.fromkeys(("mass", "E_gradu", "acc_gradu", "Umom", "F", "predicted_slope"), 2),
+        "acc_quartic": 4,
+    }
+
+    def test_exact_coefficient_map(self, tmp_path):
+        # criterion 06's data off the unit coefficients; -0.075 and 0.475 are
+        # repr(-0.3/4) and repr(1.9/4), exact quarters of the parsed doubles
+        columns = []
+        for amplitude_u, beta, gamma in (("0.5", "-0.3", "1.9"), ("1.0", "-0.075", "0.475")):
+            out = tmp_path / f"out_{amplitude_u}"
+            path = tmp_path / f"run_{amplitude_u}.ini"
+            path.write_text(textwrap.dedent(f"""\
+                [grid]
+                n = 512
+                l = 32.0
+                [stepper]
+                dt = 0.01
+                t_end = 2.3
+                snapshot_stride = 1
+                [model]
+                alpha = 0.7
+                beta = {beta}
+                gamma = {gamma}
+                [initial]
+                family = modulated_gaussian
+                amplitude_u = {amplitude_u}
+                amplitude_v = 0.4
+                width_u = 2.0
+                width_v = 2.0
+                carrier = 0.5
+                [output]
+                directory = {out}
+                """))
+            assert main(["run", str(path)]) == EXIT_OK
+            columns.append({column: np.array([row[i] for row in _rows(out, name)])
+                            for name, names in experiments.CSV_COLUMNS.items()
+                            for i, column in enumerate(names)})
+        base, mapped = columns
+        assert len(base["t"]) == 231
+        for column, exponent in self.COEFFICIENT_MAP_EXPONENTS.items():
+            assert np.array_equal(mapped[column], 2.0**exponent * base[column],
+                                  equal_nan=True), column
+        np.testing.assert_allclose(mapped["E_uk"], 2.0**2.5 * base["E_uk"], rtol=1e-13)
+        assert set(base) - set(self.COEFFICIENT_MAP_EXPONENTS) == {
+            "E_uk", "margin", "boundary_mass"}
 
     def test_decay_csv_holds_the_decay_scan(self, tmp_path):
         # stride 1 past t = 2: decay.csv's rows at t >= 2 carry decay_scan's

@@ -6,10 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from skdv.cli import load_config
-from skdv.experiments import analytic_errors, decay_scan
-from skdv.model import make_initial_data
+from skdv.experiments import analytic_errors, decay_scan, identity_window
+from skdv.model import InitialData, ModelParams, make_initial_data
 from skdv.spectral import SpectralGrid
+from skdv.virial import VirialConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,6 +22,21 @@ def test_soliton_reference_off_the_grid():
     # by whole cells would leave an error floor of its own
     _, err_v = analytic_errors(SpectralGrid(256, 50.0))
     assert err_v < 1e-3
+
+
+def test_identity_orders_off_the_unit_coefficients():
+    # criterion 06 at (alpha, beta, gamma) = (0.7, -0.3, 1.9): the residuals
+    # still halve twice over per dt halving, and theta3 = auto still cancels
+    # the mixed terms exactly
+    grid = SpectralGrid(1024, 64.0)
+    state0 = make_initial_data(
+        InitialData(family="modulated_gaussian", amplitude_u=0.5, amplitude_v=0.4,
+                    width_u=2.0, width_v=2.0, carrier=0.5), grid)
+    rows = identity_window(state0, ModelParams(0.7, -0.3, 1.9), VirialConfig(),
+                           (4e-3, 2e-3, 1e-3), 3.0)
+    orders = [np.log2(rows[j - 1][k] / rows[j][k]) for j in (1, 2) for k in (1, 2, 3)]
+    assert all(1.9 <= o <= 2.1 for o in orders), orders
+    assert all(row[4] == 0 for row in rows)
 
 
 def test_bench_decay_loop_is_the_decay_scan(tmp_path):

@@ -133,3 +133,24 @@ def test_no_function_local_relative_imports():
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(fn) if isinstance(node, ast.ImportFrom) and node.level > 0]
     assert not local, f"function-local relative imports: {local}"
+
+
+def _names_numpy_fft(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "fft" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.fft") for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.fft") or (
+            node.module == "numpy" and any(a.name == "fft" for a in node.names))
+    return False
+
+
+def test_transforms_live_in_spectral():
+    # every transform of the package runs in skdv.spectral, so a change of
+    # transform path (a held spectrum, another FFT library) touches one module
+    outside = [f"{path.name}:{node.lineno}"
+               for path in sorted((ROOT / "src" / "skdv").glob("*.py")) if path.name != "spectral.py"
+               for node in ast.walk(ast.parse(path.read_text())) if _names_numpy_fft(node)]
+    assert not outside, f"numpy.fft named outside skdv.spectral: {outside}"

@@ -8,6 +8,7 @@ from skdv.model import (
     InitialData,
     ModelParams,
     SystemState,
+    boundary_mass,
     kdv_soliton_profile,
     make_initial_data,
 )
@@ -75,6 +76,22 @@ class TestInitialData:
         spec = InitialData(family="gaussian", width_u=20.0, width_v=20.0)
         with pytest.raises(ValueError):
             make_initial_data(spec, grid)
+
+
+class TestBoundaryMass:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("u_scale", [0.0, 1.0], ids=["v-only", "u-and-v"])
+    def test_overflowing_density_keeps_the_fraction(self, grid, u_scale):
+        # |u|^2 + v^2 overflows for finite samples; the fraction does not
+        # depend on a common scale of u and v
+        rng = np.random.default_rng(3)
+        u = u_scale * (rng.standard_normal(256) + 1j * rng.standard_normal(256))
+        v = rng.standard_normal(256)
+        state = SystemState(ComplexField(grid, u), RealField(grid, v))
+        big = SystemState(ComplexField(grid, 1e200 * u), RealField(grid, 1e200 * v))
+        want = boundary_mass(state)
+        assert 0.05 < want < 0.5
+        assert abs(boundary_mass(big) - want) <= 1e-14
 
 
 def u_nonlinearity(state, params):

@@ -1,5 +1,6 @@
 """Tests for grids, fields, spectral derivatives and dealiased products."""
 
+import dataclasses
 import os
 import platform
 import subprocess
@@ -103,6 +104,12 @@ class TestSpectralGrid:
         assert SpectralGrid(64, 8.0) == SpectralGrid(64, 8.0)
         assert SpectralGrid(64, 8.0) != SpectralGrid(128, 8.0)
         assert hash(SpectralGrid(64, 8.0)) == hash(SpectralGrid(64, 8.0))
+
+    def test_frozen_value(self):
+        grid = SpectralGrid(64.0, 8)
+        assert repr(grid) == "SpectralGrid(num_points=64, half_length=8.0)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.half_length = 4.0
 
     def test_nyquist_mask(self):
         grid = SpectralGrid(64, 8.0)
