@@ -10,7 +10,7 @@ non-decreasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,7 +93,7 @@ def windowed_energy(
     state: SystemState,
     window: WindowSpec,
     kind: str,
-    params: ModelParams | None = None,
+    params: ModelParams,
     power: float = 4.0,
 ) -> WindowedEnergy:
     """Local energy of the given kind over the growing window at state.time:
@@ -103,8 +103,6 @@ def windowed_energy(
         raise ValueError(f"windowed energies require t > 0, got {state.time}")
     if kind not in _DENSITIES:
         raise ValueError(f"unknown energy kind {kind!r}; choose from {tuple(_DENSITIES)}")
-    if kind in ("mixed", "coupling") and params is None:
-        raise ValueError(f"kind {kind!r} requires model parameters")
     lo, hi = window.interval(state.time)
     grid = state.grid
     clipped = lo < -grid.half_length or hi > grid.half_length
@@ -186,18 +184,18 @@ ACCUMULATOR_TAGS = tuple(_ACCUMULATED)
 class AccumulatorState:
     """One running time integral; trapezoidal in t, starting at t >= 2."""
 
-    tag: str
     value: float = 0.0
-    last_time: float = field(default=np.nan)
-    last_integrand: float = field(default=np.nan)
-
-    def __post_init__(self):
-        if self.tag not in ACCUMULATOR_TAGS:
-            raise ValueError(f"unknown accumulator tag {self.tag!r}")
+    last_time: float = np.nan
+    last_integrand: float = np.nan
 
 
-def make_accumulators() -> dict:
-    return {tag: AccumulatorState(tag) for tag in ACCUMULATOR_TAGS}
+def make_accumulators(tags=ACCUMULATOR_TAGS) -> dict:
+    """A fresh accumulator for each of ``tags``, keyed and ordered by tag."""
+    tags = tuple(tags)
+    unknown = set(tags) - set(ACCUMULATOR_TAGS)
+    if unknown:
+        raise ValueError(f"unknown accumulator tags {sorted(unknown)}")
+    return {tag: AccumulatorState() for tag in tags}
 
 
 def weighted_accumulator_step(
@@ -248,6 +246,8 @@ def smallness_gate_check(
     """Under the criterion -beta*Phi <= alpha*gamma (beta < 0), assert the
     pointwise lower bound alpha*gamma + v*beta/2 >= alpha*gamma/2 along the
     trajectory."""
+    if not states:
+        raise ValueError("empty trajectory")
     ag = params.alpha * params.gamma
     if params.beta >= 0 or not phi_report.satisfied:
         return GateReport(applicable=False, min_value=np.nan, threshold=0.5 * ag, holds=False)

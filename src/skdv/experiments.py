@@ -63,7 +63,7 @@ def identity_window(
         n_center = int(round(t_center / dt))
         last5 = deque(maxlen=5)
         run(state0, StepperConfig(dt=dt, t_end=(n_center + 2) * dt, scheme=scheme), params,
-            on_snapshot=last5.append, keep_snapshots=False)
+            on_snapshot=last5.append)
         window = [virial.window_entry(s, vcfg, params) for s in last5]
         r2, r3, res_c = (abs(r) for r in _residuals(window, vcfg))
         coeff = np.nan if np.isnan(res_c) else vcfg.coefficient_sum(params)
@@ -80,8 +80,7 @@ def analytic_errors(grid: SpectralGrid) -> tuple[float, float]:
 
     state = SystemState(ComplexField(grid, np.exp(-(x**2)).astype(complex)),
                         RealField(grid, np.zeros_like(x)), 0.0)
-    u = run(state, StepperConfig(dt=1e-3, t_end=1.0), free,
-            keep_snapshots=False).final_state.u.samples
+    u = run(state, StepperConfig(dt=1e-3, t_end=1.0), free).final_state.u.samples
     sigma = 1.0 + 4.0j
     exact_u = np.exp(-(x**2) / sigma) / np.sqrt(sigma)
     err_u = float(np.sqrt(grid.spacing * np.sum(np.abs(u - exact_u) ** 2)))
@@ -89,8 +88,7 @@ def analytic_errors(grid: SpectralGrid) -> tuple[float, float]:
     v0 = kdv_soliton_profile(x, 1.0)
     state = SystemState(ComplexField(grid, np.zeros_like(x, dtype=complex)),
                         RealField(grid, v0), 0.0)
-    v = run(state, StepperConfig(dt=5e-4, t_end=5.0), free,
-            keep_snapshots=False).final_state.v.samples
+    v = run(state, StepperConfig(dt=5e-4, t_end=5.0), free).final_state.v.samples
     exact_v = kdv_soliton_profile(x - 5.0, 1.0)
     err_v = float(np.sqrt(grid.spacing * np.sum((v - exact_v) ** 2)))
     return err_u, err_v
@@ -103,8 +101,7 @@ def drift_halving(state0: SystemState, params: ModelParams, dts, t_end: float) -
     e0 = conservation.energy(state0, params)
     rows = []
     for dt in dts:
-        final = run(state0, StepperConfig(dt=dt, t_end=t_end), params,
-                    keep_snapshots=False).final_state
+        final = run(state0, StepperConfig(dt=dt, t_end=t_end), params).final_state
         rows.append((dt, abs(conservation.q_momentum(final, params) - q0),
                      abs(conservation.energy(final, params) - e0)))
     return rows
@@ -143,7 +140,7 @@ def run_tables(state0: SystemState, stepper: StepperConfig, params: ModelParams,
     margin and predicted_slope columns: (snapshots, largest boundary mass).
     A snapshot's rows wait, as numbers, for the two snapshots its residual
     window needs; a blow-up flags the last finite one, then propagates."""
-    accumulators = {tag: decay.AccumulatorState(tag) for _, tag in ACC_COLUMNS}
+    accumulators = decay.make_accumulators([tag for _, tag in ACC_COLUMNS])
     entries = deque(maxlen=5)  # virial.WindowEntry of the latest snapshots
     waiting = deque()  # {file name: row} of each snapshot not yet written
     count, largest = 0, 0.0
@@ -176,7 +173,7 @@ def run_tables(state0: SystemState, stepper: StepperConfig, params: ModelParams,
                 write(name, row)
 
     try:
-        run(state0, stepper, params, on_snapshot=on_snapshot, keep_snapshots=False)
+        run(state0, stepper, params, on_snapshot=on_snapshot)
     except BlowUpError:
         waiting[-1]["flags.csv"][2] = True  # the last finite snapshot
         raise
@@ -214,5 +211,5 @@ def decay_scan(
         scan.grad_v.append(energies[3])  # E_gradv
         scan.acc_rows.append({tag: acc.value for tag, acc in accumulators.items()})
 
-    run(state0, stepper, params, on_snapshot=on_snapshot, keep_snapshots=False)
+    run(state0, stepper, params, on_snapshot=on_snapshot)
     return scan

@@ -160,13 +160,13 @@ def run(
     config: StepperConfig,
     params: ModelParams,
     on_snapshot=None,
-    keep_snapshots: bool = True,
+    keep_snapshots: bool = False,
 ) -> RunResult:
     """Advance state0 to t_end.
 
     ``on_snapshot(state)`` is called every ``snapshot_stride`` steps and at t=0.
-    Snapshots (including the initial state) are retained unless
-    ``keep_snapshots`` is False.
+    Snapshots (including the initial state) are retained in
+    ``RunResult.snapshots`` only when ``keep_snapshots`` is True.
     """
     grid = state0.grid
     dt = config.dt

@@ -162,7 +162,8 @@ class TestAcceptance:
             amp *= 0.5
         assert report is not None and report.satisfied
 
-        res = run(state0, StepperConfig(dt=1e-3, t_end=5.0, snapshot_stride=100), params)
+        res = run(state0, StepperConfig(dt=1e-3, t_end=5.0, snapshot_stride=100), params,
+                  keep_snapshots=True)
         gate = smallness_gate_check(res.snapshots, params, report)
         ok = gate.applicable and gate.holds
         _verdict(8, f"smallness gate (admissible amplitude {amp:.6g}, "

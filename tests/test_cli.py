@@ -442,7 +442,7 @@ class TestRunCommand:
         rows = [[float(x) for x in r.split(",")]
                 for r in (out / "virial.csv").read_text().splitlines()[2:]]
         snaps = run(make_initial_data(cfg.initial, cfg.grid, boundary_threshold=1e-6),
-                    cfg.stepper, cfg.params).snapshots
+                    cfg.stepper, cfg.params, keep_snapshots=True).snapshots
         assert len(rows) == len(snaps) == 47
         assert calls == {"J2": 46, "J3": 46}
         checked = 0
@@ -625,15 +625,15 @@ class TestRunCommand:
 
     def test_steps_with_keep_snapshots_false(self, tmp_path, monkeypatch):
         path, _ = _write_config(tmp_path)
-        seen = []
+        results = []
 
         def spy(*args, **kwargs):
-            seen.append(kwargs.get("keep_snapshots"))
-            return run(*args, **kwargs)
+            results.append(run(*args, **kwargs))
+            return results[-1]
 
         monkeypatch.setattr(experiments, "run", spy)
         assert main(["run", str(path)]) == EXIT_OK
-        assert seen == [False]
+        assert [r.snapshots for r in results] == [[]]
 
     def test_holds_at_most_five_snapshots(self, tmp_path, monkeypatch):
         # the residual window keeps numbers, so a snapshot is released as

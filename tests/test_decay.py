@@ -7,7 +7,6 @@ import pytest
 from skdv.conservation import SmallnessReport
 from skdv.decay import (
     ACCUMULATOR_TAGS,
-    AccumulatorState,
     WindowSpec,
     _DENSITIES,
     liminf_tracker,
@@ -155,7 +154,16 @@ class TestAccumulators:
         acc = make_accumulators()
         assert set(acc) == set(ACCUMULATOR_TAGS)
         with pytest.raises(ValueError):
-            AccumulatorState("bogus")
+            make_accumulators(["bogus"])
+
+    def test_chosen_tags_in_their_order(self):
+        tags = ("quartic_u", "mixed_kdv", "gradient_v")
+        acc = make_accumulators(tag for tag in tags)  # a generator is read once
+        assert tuple(acc) == tags
+        assert all(a.value == 0.0 and np.isnan(a.last_time) for a in acc.values())
+        assert len({id(a) for a in acc.values()}) == len(tags)
+        with pytest.raises(ValueError, match="bogus"):
+            make_accumulators(tag for tag in ("mixed_kdv", "bogus"))
 
     def test_zero_fields_unchanged(self, grid):
         state = _at_time(make_initial_data(InitialData(family="zero"), grid), 2.0)
@@ -225,6 +233,10 @@ class TestSmallnessGate:
         assert rep.applicable
         assert rep.min_value == pytest.approx(1.0)
         assert rep.holds
+
+    def test_empty_trajectory_rejected(self):
+        with pytest.raises(ValueError, match="empty trajectory"):
+            smallness_gate_check([], ModelParams(1.0, -0.1, 1.0), self._report(True))
 
     def test_not_applicable(self, grid):
         state = make_initial_data(InitialData(family="zero"), grid)

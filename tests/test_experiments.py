@@ -7,10 +7,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from skdv.cli import load_config
-from skdv.experiments import analytic_errors, decay_scan, identity_window
-from skdv.model import InitialData, ModelParams, make_initial_data
+from skdv.experiments import analytic_errors, decay_scan, drift_halving, identity_window
+from skdv.model import BOUNDARY_TOLERANCE, InitialData, ModelParams, make_initial_data
 from skdv.spectral import SpectralGrid
 from skdv.virial import VirialConfig
 
@@ -24,19 +25,36 @@ def test_soliton_reference_off_the_grid():
     assert err_v < 1e-3
 
 
-def test_identity_orders_off_the_unit_coefficients():
-    # criterion 06 at (alpha, beta, gamma) = (0.7, -0.3, 1.9): the residuals
-    # still halve twice over per dt halving, and theta3 = auto still cancels
-    # the mixed terms exactly
+@pytest.mark.parametrize("params, vcfg", [
+    pytest.param(ModelParams(0.7, -0.3, 1.9), VirialConfig(), id="beta-negative"),
+    pytest.param(ModelParams(2.0, 0.5, 0.4), VirialConfig(p1=0.2, p2=3.0, theta2=0.6),
+                 id="other-weights"),
+])
+def test_identity_orders_off_the_unit_coefficients(params, vcfg):
+    # criterion 06 off (alpha, beta, gamma) = (1, 1, 1) and the default
+    # weights: the residuals still halve twice over per dt halving, and
+    # theta3 = auto still cancels the mixed terms exactly, in a clean box
     grid = SpectralGrid(1024, 64.0)
     state0 = make_initial_data(
         InitialData(family="modulated_gaussian", amplitude_u=0.5, amplitude_v=0.4,
                     width_u=2.0, width_v=2.0, carrier=0.5), grid)
-    rows = identity_window(state0, ModelParams(0.7, -0.3, 1.9), VirialConfig(),
-                           (4e-3, 2e-3, 1e-3), 3.0)
+    rows = identity_window(state0, params, vcfg, (4e-3, 2e-3, 1e-3), 3.0)
     orders = [np.log2(rows[j - 1][k] / rows[j][k]) for j in (1, 2) for k in (1, 2, 3)]
     assert all(1.9 <= o <= 2.1 for o in orders), orders
     assert all(row[4] == 0 for row in rows)
+    assert all(row[5] < BOUNDARY_TOLERANCE for row in rows)
+
+
+def test_drift_halving_off_the_unit_coefficients():
+    # criterion 02 at (alpha, beta, gamma) = (0.7, -0.3, 1.9), the beta < 0
+    # case: the Q and E drifts still fall fourfold per dt halving
+    grid = SpectralGrid(1024, 64.0)
+    state0 = make_initial_data(
+        InitialData(family="gaussian", amplitude_u=0.5, amplitude_v=0.5,
+                    width_u=2.0, width_v=2.0), grid)
+    drifts = drift_halving(state0, ModelParams(0.7, -0.3, 1.9), (4e-3, 2e-3, 1e-3), 5.0)
+    ratios = [drifts[j - 1][k] / drifts[j][k] for j in (1, 2) for k in (1, 2)]
+    assert all(r >= 3.5 for r in ratios), ratios
 
 
 def test_bench_decay_loop_is_the_decay_scan(tmp_path):

@@ -82,9 +82,22 @@ class TestRun:
     def test_snapshot_times(self, grid):
         state = make_initial_data(InitialData(family="zero"), grid)
         res = run(state, StepperConfig(dt=1e-2, t_end=0.1, snapshot_stride=5),
-                  ModelParams(1.0, 0.0, 1.0))
+                  ModelParams(1.0, 0.0, 1.0), keep_snapshots=True)
         times = [s.time for s in res.snapshots]
         assert times == pytest.approx([0.0, 0.05, 0.1])
+
+    def test_streams_unless_asked_to_keep(self, grid):
+        # by default every snapshot goes to the callback and none is held
+        state = make_initial_data(InitialData(family="gaussian"), grid)
+        stepper = StepperConfig(dt=1e-2, t_end=0.1, snapshot_stride=2)
+        params = ModelParams(1.0, 1.0, 1.0)
+        seen = []
+        res = run(state, stepper, params, on_snapshot=seen.append)
+        assert res.snapshots == []
+        assert [s.time for s in seen] == pytest.approx([0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
+        kept = run(state, stepper, params, keep_snapshots=True)
+        assert [s.time for s in kept.snapshots] == [s.time for s in seen]
+        assert kept.snapshots[-1].u.samples.tobytes() == res.final_state.u.samples.tobytes()
 
     def test_strang_beats_lie(self, grid):
         state = make_initial_data(
@@ -117,7 +130,7 @@ class TestRun:
         v = -50.0 * np.exp(-grid.x**2)
         with pytest.raises(BlowUpError) as info:
             run(_state(grid, u, v), StepperConfig(dt=0.5, t_end=50.0),
-                ModelParams(5.0, -5.0, 5.0))
+                ModelParams(5.0, -5.0, 5.0), keep_snapshots=True)
         exc = info.value
         last = exc.result.final_state
         assert last.time == pytest.approx(exc.time - 0.5)
@@ -137,7 +150,7 @@ class TestRun:
         dt, stride = 0.0625, 4
         with pytest.raises(BlowUpError) as info:
             run(_state(grid, u, v), StepperConfig(dt=dt, t_end=50.0, snapshot_stride=stride),
-                ModelParams(1.0, 0.0, 0.0))
+                ModelParams(1.0, 0.0, 0.0), keep_snapshots=True)
         exc = info.value
         last = exc.result.final_state
         assert last.time == exc.time - dt
@@ -225,7 +238,8 @@ class TestWorkArrays:
             copies.append((s, s.u.samples.copy(), s.v.samples.copy()))
 
         cfg = StepperConfig(dt=5e-3, t_end=0.1, scheme=scheme)  # every step a snapshot
-        res = run(state0, cfg, self.PARAMS, on_snapshot=keep_copy)
+        res = run(state0, cfg, self.PARAMS, on_snapshot=keep_copy, keep_snapshots=True)
+        assert len(res.snapshots) == len(copies) == 21
         states = [s for s, _, _ in copies] + res.snapshots + [res.final_state]
         for s, u, v in copies:
             assert s.u.samples.tobytes() == u.tobytes()
@@ -242,7 +256,8 @@ class TestWorkArrays:
         # of a complex buffer, and holds the bits of the literal stepper
         dt = 5e-3
         cfg = StepperConfig(dt=dt, t_end=20 * dt, scheme=scheme, snapshot_stride=7)
-        res = run(state0, cfg, self.PARAMS)
+        res = run(state0, cfg, self.PARAMS, keep_snapshots=True)
+        assert len(res.snapshots) == 4  # t = 0 and steps 7, 14 and 20
         for s in res.snapshots[1:]:
             v = s.v.samples
             assert v.dtype == np.float64 and v.flags.c_contiguous
