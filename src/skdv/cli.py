@@ -35,7 +35,7 @@ except ImportError:
 from . import conservation, decay, experiments, momentum, virial
 from .integrator import BlowUpError, StepperConfig
 from .model import BOUNDARY_TOLERANCE, InitialData, ModelParams, SystemState, make_initial_data
-from .spectral import SpectralGrid, h1_norm
+from .spectral import SpectralGrid
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
 
@@ -181,8 +181,8 @@ def _open_csv(files: contextlib.ExitStack, path: Path, config_hash: str, header:
 
 
 def _checked(fn, *args):
-    """``fn(*args)``; a ValueError (degenerate parameters or initial data)
-    becomes a ConfigError."""
+    """``fn(*args)``; a ValueError (degenerate parameters, initial data or
+    grid) becomes a ConfigError."""
     try:
         return fn(*args)
     except ValueError as exc:
@@ -203,9 +203,7 @@ def _cmd_run(cfg: RunConfig) -> int:
     _checked(cfg.virial.theta3_value, params)
     state0 = _initial_state(cfg)
     slope = _checked(momentum.predicted_slope, state0, params)
-    phi = (conservation.phi_smallness(h1_norm(state0.u), h1_norm(state0.v), params,
-                                      conservation.estimate_gn_constant(cfg.grid)).phi
-           if params.full_regime else np.nan)
+    phi = _checked(conservation.phi_smallness, state0, params).phi if params.full_regime else np.nan
 
     with contextlib.ExitStack() as files:
         write = {name: _open_csv(files, cfg.output_dir / name, cfg.config_hash, columns)
@@ -263,13 +261,9 @@ def _cmd_scan_decay(cfg: RunConfig) -> int:
 
 
 def _cmd_check_smallness(cfg: RunConfig) -> int:
-    state0 = _initial_state(cfg)
-    c_gn = conservation.estimate_gn_constant(cfg.grid)
-    report = _checked(conservation.phi_smallness, h1_norm(state0.u), h1_norm(state0.v),
-                      cfg.params, c_gn)
+    report = _checked(conservation.phi_smallness, _initial_state(cfg), cfg.params)
     print(f"C_gn (L4 interpolation) = {report.c_gn:.12g}")
     print(f"C (main form)           = {report.c_abg:.12g}")
-    print(f"C (summary form)        = {report.c_abg_intro:.12g}")
     print(f"Phi                     = {report.phi:.12g}")
     print(f"-beta*Phi               = {report.criterion_lhs:.12g}")
     print(f"alpha*gamma             = {report.criterion_rhs:.12g}")

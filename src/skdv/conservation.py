@@ -30,7 +30,6 @@ __all__ = [
     "invariant_sample",
     "estimate_gn_constant",
     "c_alpha_beta_gamma",
-    "c_alpha_beta_gamma_intro",
     "phi_smallness",
     "apriori_monitor",
     "AprioriReport",
@@ -102,7 +101,8 @@ def estimate_gn_constant(grid: SpectralGrid) -> float:
     Not a bound: on under-resolved grids it exceeds the sharp constant
     3^(-1/8) = 0.8716855, e.g. 0.8880839 on (N, L) = (8192, 1024).  It stays
     as it is because the ``margin`` column of ``skdv run`` and
-    ``check-smallness`` depend on it.
+    ``check-smallness`` depend on it.  A box that truncates every profile
+    leaves no estimate: a ValueError, not 0.
     """
     x = grid.x
     best = 0.0
@@ -113,6 +113,8 @@ def estimate_gn_constant(grid: SpectralGrid) -> float:
                 f = profile(w)
                 if outer_fraction(grid, f**2) <= BOUNDARY_TOLERANCE:
                     best = max(best, _interpolation_ratio(grid, f))
+    if best == 0.0:
+        raise ValueError("the box truncates every C_gn profile; enlarge the box")
     return best
 
 
@@ -124,8 +126,8 @@ def _mu(params: ModelParams) -> float:
 
 
 def c_alpha_beta_gamma(params: ModelParams, c_gn: float) -> float:
-    """The explicit constant from the a priori derivation (authoritative
-    form; used by the smallness criterion)."""
+    """The explicit constant from the a priori derivation, used by the
+    smallness criterion."""
     a, b, g = abs(params.alpha), abs(params.beta), abs(params.gamma)
     mu = _mu(params)
     term1 = 2.0 + 2.0 * g / a + 8.0 * g**2 / a**2
@@ -140,28 +142,10 @@ def c_alpha_beta_gamma(params: ModelParams, c_gn: float) -> float:
     return term1 + term2 + term3 + term4
 
 
-def c_alpha_beta_gamma_intro(params: ModelParams, c_gn: float) -> float:
-    """Variant of the constant as summarized up front, whose generic
-    prefactor C is taken to be c_gn; reported alongside the other form
-    since the two printed versions differ."""
-    a, b, g = abs(params.alpha), abs(params.beta), abs(params.gamma)
-    mu = _mu(params)
-    term1 = 2.0 * (1.0 + g / a + 4.0 * g**2 / a**2)
-    term2 = (4.0 * (c_gn * a * g + 2.0 * a + 3.0 * g + 32.0 * g**2 / mu) + c_gn * b * g) / mu
-    term3 = (a * g**2 + b * g / 2.0) ** 2 / mu**2 * c_gn
-    term4 = (
-        c_gn
-        / (mu ** (4.0 / 3.0) * a ** (1.0 / 3.0))
-        * ((a + 2.0 * g) ** (5.0 / 3.0) + g**10 / (mu ** (20.0 / 3.0) * a ** (5.0 / 3.0)))
-    )
-    return term1 + term2 + term3 + term4
-
-
 @dataclass(frozen=True)
 class SmallnessReport:
     c_gn: float
     c_abg: float
-    c_abg_intro: float
     phi: float
     criterion_lhs: float  # -beta * phi
     criterion_rhs: float  # alpha * gamma
@@ -172,25 +156,21 @@ def phi_of_norms(u0_h1: float, v0_h1: float, c_abg: float) -> float:
     return float(np.sqrt(c_abg) * (u0_h1 + v0_h1 + u0_h1**5 + v0_h1**5))
 
 
-def phi_smallness(
-    u0_h1: float, v0_h1: float, params: ModelParams, c_gn: float
-) -> SmallnessReport:
-    """Evaluate Phi and the criterion -beta*Phi <= alpha*gamma.
+def phi_smallness(state0: SystemState, params: ModelParams) -> SmallnessReport:
+    """Evaluate Phi and the criterion -beta*Phi <= alpha*gamma for the
+    initial state ``state0``, with C_gn estimated on its grid.
 
     Criterion mode expects alpha*gamma > 0 and beta < 0; Phi itself is
     well defined whenever mu = min(|gamma|, |alpha|/2) > 0.
     """
-    if u0_h1 < 0 or v0_h1 < 0:
-        raise ValueError("norms must be nonnegative")
-    c_main = c_alpha_beta_gamma(params, c_gn)
-    c_intro = c_alpha_beta_gamma_intro(params, c_gn)
-    phi = phi_of_norms(u0_h1, v0_h1, c_main)
+    c_gn = estimate_gn_constant(state0.grid)
+    c_abg = c_alpha_beta_gamma(params, c_gn)
+    phi = phi_of_norms(h1_norm(state0.u), h1_norm(state0.v), c_abg)
     lhs = -params.beta * phi
     rhs = params.alpha * params.gamma
     return SmallnessReport(
         c_gn=c_gn,
-        c_abg=c_main,
-        c_abg_intro=c_intro,
+        c_abg=c_abg,
         phi=phi,
         criterion_lhs=lhs,
         criterion_rhs=rhs,

@@ -16,7 +16,7 @@ import numpy as np
 from . import conservation, decay, momentum, virial
 from .integrator import BlowUpError, StepperConfig, run
 from .model import ModelParams, SystemState, boundary_mass, kdv_soliton_profile
-from .spectral import ComplexField, RealField, SpectralGrid
+from .spectral import ComplexField, RealField, SpectralGrid, l2_norm
 
 __all__ = ["ACC_COLUMNS", "CSV_COLUMNS", "DecayScan", "WINDOWED", "analytic_errors",
            "decay_sample", "decay_scan", "drift_halving", "identity_window", "run_tables"]
@@ -83,14 +83,14 @@ def analytic_errors(grid: SpectralGrid) -> tuple[float, float]:
     u = run(state, StepperConfig(dt=1e-3, t_end=1.0), free).final_state.u.samples
     sigma = 1.0 + 4.0j
     exact_u = np.exp(-(x**2) / sigma) / np.sqrt(sigma)
-    err_u = float(np.sqrt(grid.spacing * np.sum(np.abs(u - exact_u) ** 2)))
+    err_u = l2_norm(ComplexField(grid, u - exact_u))
 
     v0 = kdv_soliton_profile(x, 1.0)
     state = SystemState(ComplexField(grid, np.zeros_like(x, dtype=complex)),
                         RealField(grid, v0), 0.0)
     v = run(state, StepperConfig(dt=5e-4, t_end=5.0), free).final_state.v.samples
     exact_v = kdv_soliton_profile(x - 5.0, 1.0)
-    err_v = float(np.sqrt(grid.spacing * np.sum((v - exact_v) ** 2)))
+    err_v = l2_norm(RealField(grid, v - exact_v))
     return err_u, err_v
 
 

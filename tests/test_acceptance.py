@@ -10,7 +10,6 @@ import pytest
 
 from skdv.conservation import (
     c_alpha_beta_gamma,
-    estimate_gn_constant,
     mass,
     phi_of_norms,
     phi_smallness,
@@ -20,7 +19,7 @@ from skdv.experiments import analytic_errors, decay_scan, drift_halving, identit
 from skdv.integrator import StepperConfig, run
 from skdv.model import InitialData, ModelParams, SystemState, make_initial_data
 from skdv.momentum import drift_check, moment_sample, predicted_slope
-from skdv.spectral import ComplexField, RealField, SpectralGrid, h1_norm, integrate, l2_norm
+from skdv.spectral import ComplexField, RealField, SpectralGrid, integrate, l2_norm
 from skdv.virial import (
     VirialConfig,
     check_key_identities,
@@ -149,14 +148,13 @@ class TestAcceptance:
     def test_criterion_08_smallness_gate(self):
         grid = SpectralGrid(1024, 64.0)
         params = ModelParams(1.0, -0.1, 1.0)
-        c_gn = estimate_gn_constant(grid)
         amp = 0.25
         report = None
         for _ in range(60):
             state0 = make_initial_data(
                 InitialData(family="gaussian", amplitude_u=amp, amplitude_v=amp,
                             width_u=2.0, width_v=2.0), grid)
-            report = phi_smallness(h1_norm(state0.u), h1_norm(state0.v), params, c_gn)
+            report = phi_smallness(state0, params)
             if report.satisfied:
                 break
             amp *= 0.5

@@ -29,7 +29,6 @@ from skdv.cli import (
 )
 from skdv.integrator import run
 from skdv.model import make_initial_data
-from skdv.spectral import h1_norm
 
 BASE_CONFIG = """\
 [grid]
@@ -466,8 +465,7 @@ class TestRunCommand:
 
         # the other four CSVs, row by row, against the public functions
         params, s0 = cfg.params, snaps[0]
-        phi = conservation.phi_smallness(h1_norm(s0.u), h1_norm(s0.v), params,
-                                         conservation.estimate_gn_constant(cfg.grid)).phi
+        phi = conservation.phi_smallness(s0, params).phi
         slope = momentum.predicted_slope(s0, params)
         acc = decay.make_accumulators()
         power = 2.0 + cfg.power_exponent
@@ -802,21 +800,40 @@ class TestExitCodes:
         captured = capsys.readouterr().out
         assert "criterion satisfied" in captured
 
+    @pytest.mark.parametrize("command", ["run", "check-smallness"])
+    def test_box_too_small_for_the_gn_sweep(self, tmp_path, capsys, command):
+        # clean data in a box that truncates every C_gn profile: no C_gn, so
+        # no Phi, and a config error before any output rather than a
+        # criterion judged with C_gn = 0
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "n = 256\nl = 32.0", "n = 64\nl = 0.5").replace("beta = 0.0", "beta = -0.1").replace(
+            "amplitude_u = 0.2\namplitude_v = 0.2",
+            "amplitude_u = 0.02\namplitude_v = 0.02\nwidth_u = 0.1\nwidth_v = 0.1")
+        path, out = _write_config(tmp_path, text)
+        cfg = load_config(path)
+        make_initial_data(cfg.initial, cfg.grid)  # clear of the box edge
+        assert main([command, str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and "enlarge the box" in captured.err
+        assert not out.exists()
+
 
 class TestExperimentOutput:
-    """Each subcommand prints what its experiment in skdv.experiments
-    returns, formatted and nothing else."""
+    """Each subcommand prints what its experiment in skdv.experiments (for
+    check-smallness, conservation.phi_smallness) returns, formatted and
+    nothing else."""
 
     @staticmethod
-    def _spy(monkeypatch, name):
+    def _spy(monkeypatch, name, module=experiments):
         returned = []
-        original = getattr(experiments, name)
+        original = getattr(module, name)
 
         def spy(*args, **kwargs):
             returned.append(original(*args, **kwargs))
             return returned[-1]
 
-        monkeypatch.setattr(experiments, name, spy)
+        monkeypatch.setattr(module, name, spy)
         return returned
 
     def test_verify_identities(self, tmp_path, capsys, monkeypatch):
@@ -870,3 +887,19 @@ class TestExperimentOutput:
         assert [r[0] for r in rows] == [4e-3, 2e-3, 1e-3]
         assert lines[3:6] == [f"{dt:>10.1e} {dq:>14.6e} {de:>14.6e}" for dt, dq, de in rows]
         assert len(lines) == 8
+
+    def test_check_smallness(self, tmp_path, capsys, monkeypatch):
+        # the README config at beta = -0.1: six lines, from one report
+        text = TestLoadConfig.README_CONFIG.replace("beta = 0.0", "beta = -0.1")
+        path, _ = _write_config(tmp_path, text)
+        returned = self._spy(monkeypatch, "phi_smallness", conservation)
+        assert main(["check-smallness", str(path)]) == EXIT_OK
+        [report] = returned
+        assert capsys.readouterr().out.splitlines() == [
+            f"C_gn (L4 interpolation) = {report.c_gn:.12g}",
+            f"C (main form)           = {report.c_abg:.12g}",
+            f"Phi                     = {report.phi:.12g}",
+            f"-beta*Phi               = {report.criterion_lhs:.12g}",
+            f"alpha*gamma             = {report.criterion_rhs:.12g}",
+            f"criterion satisfied     = {report.satisfied}",
+        ]

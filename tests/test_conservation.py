@@ -9,7 +9,6 @@ import pytest
 from skdv.conservation import (
     apriori_monitor,
     c_alpha_beta_gamma,
-    c_alpha_beta_gamma_intro,
     energy,
     estimate_gn_constant,
     invariant_sample,
@@ -111,6 +110,13 @@ class TestGnConstant:
         assert estimate_gn_constant(SpectralGrid(64, 8.0)) < 1.0
         assert estimate_gn_constant(SpectralGrid(256, 16.0)) == pytest.approx(3**-0.125, abs=2e-6)
         assert estimate_gn_constant(SpectralGrid(1024, 64.0)) == 0.8716864478003714
+        assert estimate_gn_constant(SpectralGrid(64, 0.75)) == pytest.approx(0.866675, abs=1e-6)
+
+    def test_box_too_small_for_every_profile(self):
+        # on (64, 0.5) the box truncates all 75 profiles: no estimate, rather
+        # than a C_gn of 0 that would satisfy any smallness criterion
+        with pytest.raises(ValueError, match="enlarge the box"):
+            estimate_gn_constant(SpectralGrid(64, 0.5))
 
     def test_large_box_warns_nothing(self):
         # on criterion 07's grid cosh overflows far out; 1/inf = 0 is the
@@ -150,33 +156,38 @@ class TestExplicitConstant:
         ref = float(_reference_constant(alpha, beta, gamma, 0.9))
         assert abs(got - ref) / ref < 1e-12
 
-    def test_intro_variant_differs(self):
-        params = ModelParams(1.0, -0.1, 1.0)
-        main = c_alpha_beta_gamma(params, 0.9)
-        intro = c_alpha_beta_gamma_intro(params, 0.9)
-        assert main != intro
-        assert main > 0 and intro > 0
-
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             c_alpha_beta_gamma(ModelParams(0.0, 0.0, 1.0), 0.9)
 
 
 class TestPhi:
-    def test_zero_norms(self):
-        rep = phi_smallness(0.0, 0.0, ModelParams(1.0, -1.0, 1.0), 0.9)
+    def test_zero_norms(self, grid):
+        rep = phi_smallness(make_initial_data(InitialData(family="zero"), grid),
+                            ModelParams(1.0, -1.0, 1.0))
         assert rep.phi == 0.0
         assert rep.satisfied  # 0 <= alpha gamma
 
-    def test_monotone_in_each_argument(self):
-        params = ModelParams(1.0, -0.1, 1.0)
-        base = phi_smallness(0.1, 0.1, params, 0.9).phi
-        assert phi_smallness(0.2, 0.1, params, 0.9).phi > base
-        assert phi_smallness(0.1, 0.2, params, 0.9).phi > base
+    def test_built_from_the_initial_state(self):
+        # the README data at beta = -0.1: the report's Phi is phi_of_norms
+        # of the H1 norms and the explicit constant at the grid's C_gn
+        grid, params = SpectralGrid(1024, 64.0), ModelParams(1.0, -0.1, 1.0)
+        state0 = make_initial_data(
+            InitialData(family="gaussian", amplitude_u=0.5, amplitude_v=0.5), grid)
+        rep = phi_smallness(state0, params)
+        c_gn = estimate_gn_constant(grid)
+        c_abg = c_alpha_beta_gamma(params, c_gn)
+        assert rep.phi == phi_of_norms(h1_norm(state0.u), h1_norm(state0.v), c_abg)
+        assert (rep.c_gn, rep.c_abg) == (c_gn, c_abg)
+        assert rep.criterion_lhs == 0.1 * rep.phi and not rep.satisfied
 
-    def test_norm_validation(self):
-        with pytest.raises(ValueError):
-            phi_smallness(-0.1, 0.0, ModelParams(1.0, -1.0, 1.0), 0.9)
+    def test_monotone_in_each_argument(self, grid):
+        # a larger amplitude of u, or of v, gives a larger Phi
+        def phi(amp_u, amp_v):
+            data = InitialData(family="gaussian", amplitude_u=amp_u, amplitude_v=amp_v)
+            return phi_smallness(make_initial_data(data, grid), ModelParams(1.0, -0.1, 1.0)).phi
+
+        assert phi(0.2, 0.1) > phi(0.1, 0.1) < phi(0.1, 0.2)
 
     def test_phi_of_norms_formula(self):
         assert phi_of_norms(0.5, 0.25, 4.0) == pytest.approx(

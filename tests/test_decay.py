@@ -223,7 +223,7 @@ class TestAccumulators:
 
 class TestSmallnessGate:
     def _report(self, satisfied):
-        return SmallnessReport(c_gn=0.9, c_abg=1.0, c_abg_intro=1.0, phi=0.1,
+        return SmallnessReport(c_gn=0.9, c_abg=1.0, phi=0.1,
                                criterion_lhs=0.01 if satisfied else 10.0,
                                criterion_rhs=1.0, satisfied=satisfied)
 

@@ -25,23 +25,33 @@ def test_soliton_reference_off_the_grid():
     assert err_v < 1e-3
 
 
-@pytest.mark.parametrize("params, vcfg", [
-    pytest.param(ModelParams(0.7, -0.3, 1.9), VirialConfig(), id="beta-negative"),
-    pytest.param(ModelParams(2.0, 0.5, 0.4), VirialConfig(p1=0.2, p2=3.0, theta2=0.6),
+@pytest.mark.parametrize("params, vcfg, t_center", [
+    pytest.param(ModelParams(0.7, -0.3, 1.9), VirialConfig(), 3.0, id="beta-negative"),
+    pytest.param(ModelParams(2.0, 0.5, 0.4), VirialConfig(p1=0.2, p2=3.0, theta2=0.6), 3.0,
                  id="other-weights"),
+    # centred at t = 2.5: by t = 3 this data carries a boundary mass of
+    # 1.4e-6, above the clean-box rule.  Every prop3 term scales with
+    # theta3, so this case covers the numeric-theta3 path, not its value
+    pytest.param(ModelParams(0.5, 1.5, 2.5), VirialConfig(theta3=0.7), 2.5, id="numeric-theta3"),
 ])
-def test_identity_orders_off_the_unit_coefficients(params, vcfg):
+def test_identity_orders_off_the_unit_coefficients(params, vcfg, t_center):
     # criterion 06 off (alpha, beta, gamma) = (1, 1, 1) and the default
     # weights: the residuals still halve twice over per dt halving, and
-    # theta3 = auto still cancels the mixed terms exactly, in a clean box
+    # theta3 = auto still cancels the mixed terms exactly, in a clean box;
+    # under a numeric theta3 the combined identity is not run, so its
+    # residual and the coefficient sum are nan
     grid = SpectralGrid(1024, 64.0)
     state0 = make_initial_data(
         InitialData(family="modulated_gaussian", amplitude_u=0.5, amplitude_v=0.4,
                     width_u=2.0, width_v=2.0, carrier=0.5), grid)
-    rows = identity_window(state0, params, vcfg, (4e-3, 2e-3, 1e-3), 3.0)
-    orders = [np.log2(rows[j - 1][k] / rows[j][k]) for j in (1, 2) for k in (1, 2, 3)]
+    rows = identity_window(state0, params, vcfg, (4e-3, 2e-3, 1e-3), t_center)
+    ks = (1, 2, 3) if vcfg.theta3 == "auto" else (1, 2)
+    orders = [np.log2(rows[j - 1][k] / rows[j][k]) for j in (1, 2) for k in ks]
     assert all(1.9 <= o <= 2.1 for o in orders), orders
-    assert all(row[4] == 0 for row in rows)
+    if vcfg.theta3 == "auto":
+        assert all(row[4] == 0 for row in rows)
+    else:
+        assert all(np.isnan(row[3]) and np.isnan(row[4]) for row in rows)
     assert all(row[5] < BOUNDARY_TOLERANCE for row in rows)
 
 
