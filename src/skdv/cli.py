@@ -257,6 +257,9 @@ def _cmd_scan_decay(cfg: RunConfig) -> int:
               f"log-log slope {report.loglog_slope:.3f}, decayed={report.decayed}")
     for tag, value in scan.acc_rows[-1].items():
         print(f"accumulator {tag}: {value:.6e}")
+    edge = (f"first above {BOUNDARY_TOLERANCE:g} at t = {scan.edge_time:g}"
+            if np.isfinite(scan.edge_time) else f"never above {BOUNDARY_TOLERANCE:g}")
+    print(f"boundary mass: largest {scan.largest_boundary_mass:.3e}, {edge}")
     return EXIT_OK
 
 
@@ -265,6 +268,9 @@ def _cmd_check_smallness(cfg: RunConfig) -> int:
     print(f"C_gn (L4 interpolation) = {report.c_gn:.12g}")
     print(f"C (main form)           = {report.c_abg:.12g}")
     print(f"Phi                     = {report.phi:.12g}")
+    if not report.applicable:
+        print("criterion satisfied     = n/a (needs beta < 0 and alpha*gamma > 0)")
+        return EXIT_OK
     print(f"-beta*Phi               = {report.criterion_lhs:.12g}")
     print(f"alpha*gamma             = {report.criterion_rhs:.12g}")
     print(f"criterion satisfied     = {report.satisfied}")

@@ -149,7 +149,8 @@ class SmallnessReport:
     phi: float
     criterion_lhs: float  # -beta * phi
     criterion_rhs: float  # alpha * gamma
-    satisfied: bool
+    applicable: bool  # beta < 0 and alpha * gamma > 0, the regime of the criterion
+    satisfied: bool  # applicable and -beta * phi <= alpha * gamma
 
 
 def phi_of_norms(u0_h1: float, v0_h1: float, c_abg: float) -> float:
@@ -160,7 +161,7 @@ def phi_smallness(state0: SystemState, params: ModelParams) -> SmallnessReport:
     """Evaluate Phi and the criterion -beta*Phi <= alpha*gamma for the
     initial state ``state0``, with C_gn estimated on its grid.
 
-    Criterion mode expects alpha*gamma > 0 and beta < 0; Phi itself is
+    The criterion applies only for beta < 0 and alpha*gamma > 0; Phi is
     well defined whenever mu = min(|gamma|, |alpha|/2) > 0.
     """
     c_gn = estimate_gn_constant(state0.grid)
@@ -168,14 +169,9 @@ def phi_smallness(state0: SystemState, params: ModelParams) -> SmallnessReport:
     phi = phi_of_norms(h1_norm(state0.u), h1_norm(state0.v), c_abg)
     lhs = -params.beta * phi
     rhs = params.alpha * params.gamma
-    return SmallnessReport(
-        c_gn=c_gn,
-        c_abg=c_abg,
-        phi=phi,
-        criterion_lhs=lhs,
-        criterion_rhs=rhs,
-        satisfied=bool(lhs <= rhs),
-    )
+    applicable = params.beta < 0 and params.full_regime
+    return SmallnessReport(c_gn=c_gn, c_abg=c_abg, phi=phi, criterion_lhs=lhs, criterion_rhs=rhs,
+                           applicable=applicable, satisfied=applicable and bool(lhs <= rhs))
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,6 @@ def weighted_accumulator_step(
     params: ModelParams,
     accumulators: dict,
     power_exponent: float = 0.5,
-    weights: Weights | None = None,
 ) -> None:
     """Advance every accumulator by the trapezoidal rule with the integrand
 
@@ -212,14 +211,14 @@ def weighted_accumulator_step(
 
     for that accumulator's density, with |v|^(2 + power_exponent) for
     ``power_k``.  The first call (t >= 2) only primes the integrand memory.
-    The weight is the ``wpg`` of the virial weights at ``state.time``, which
-    ``weights`` may pass already built.  Mutates ``accumulators``.
+    The weight is the ``wpg`` of the virial weights at ``state.time``.
+    Mutates ``accumulators``.
     """
     t = state.time
     if t < T_START:
         raise ValueError(f"accumulators are defined for t >= {T_START:g}, got {t}")
     grid = state.grid
-    weight = (weights if weights is not None else Weights(grid, config, t)).wpg
+    weight = Weights.at(grid, config, t).wpg
     power = 2.0 + power_exponent
     for tag, acc in accumulators.items():
         dens = _DENSITIES[_ACCUMULATED[tag]](state.u, state.v, params, power, slice(None))
@@ -251,13 +250,7 @@ def smallness_gate_check(
     ag = params.alpha * params.gamma
     if params.beta >= 0 or not phi_report.satisfied:
         return GateReport(applicable=False, min_value=np.nan, threshold=0.5 * ag, holds=False)
-    lowest = np.inf
-    for s in states:
-        lowest = min(lowest, float(np.min(ag + 0.5 * params.beta * s.v.samples)))
-    return GateReport(
-        applicable=True,
-        min_value=lowest,
-        threshold=0.5 * ag,
-        holds=bool(lowest >= 0.5 * ag - GATE_TOLERANCE),
-    )
+    lowest = min(float(np.min(ag + 0.5 * params.beta * s.v.samples)) for s in states)
+    return GateReport(applicable=True, min_value=lowest, threshold=0.5 * ag,
+                      holds=bool(lowest >= 0.5 * ag - GATE_TOLERANCE))
 

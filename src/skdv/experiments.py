@@ -15,7 +15,8 @@ import numpy as np
 
 from . import conservation, decay, momentum, virial
 from .integrator import BlowUpError, StepperConfig, run
-from .model import ModelParams, SystemState, boundary_mass, kdv_soliton_profile
+from .model import (BOUNDARY_TOLERANCE, ModelParams, SystemState, boundary_mass,
+                    kdv_soliton_profile)
 from .spectral import ComplexField, RealField, SpectralGrid, l2_norm
 
 __all__ = ["ACC_COLUMNS", "CSV_COLUMNS", "DecayScan", "WINDOWED", "analytic_errors",
@@ -108,18 +109,16 @@ def drift_halving(state0: SystemState, params: ModelParams, dts, t_end: float) -
 
 
 def decay_sample(s: SystemState, window: decay.WindowSpec, params: ModelParams,
-                 vcfg: virial.VirialConfig, power_exponent: float, accumulators: dict,
-                 weights: virial.Weights | None = None) -> tuple[list, bool]:
+                 vcfg: virial.VirialConfig, power_exponent: float,
+                 accumulators: dict) -> tuple[list, bool]:
     """``s``'s windowed energies in WINDOWED order (nan at t = 0) and whether
-    their window is clipped; from t = 2 on, ``accumulators`` advance past ``s``
-    (``weights`` may pass the virial weights already built at ``s.time``)."""
+    their window is clipped; from t = 2 on, ``accumulators`` advance past ``s``."""
     if s.time <= 0:
         return [np.nan] * len(WINDOWED), False
     found = [decay.windowed_energy(s, window, kind, params, 2.0 + power_exponent)
              for _, kind in WINDOWED]
     if s.time >= virial.T_START:
-        decay.weighted_accumulator_step(s, vcfg, params, accumulators, power_exponent,
-                                        weights=weights)
+        decay.weighted_accumulator_step(s, vcfg, params, accumulators, power_exponent)
     return [we.value for we in found], found[0].clipped  # every kind reads the same window
 
 
@@ -148,12 +147,10 @@ def run_tables(state0: SystemState, stepper: StepperConfig, params: ModelParams,
     def on_snapshot(s):
         nonlocal count, largest
         count += 1
-        wt = virial.Weights(s.grid, vcfg, s.time) if s.time > 0 else None
-        entries.append(virial.window_entry(s, vcfg, params, wt))
+        entries.append(virial.window_entry(s, vcfg, params))
         inv = conservation.invariant_sample(s, params)
         margin = phi - (inv.u_h1 + inv.v_h1) if np.isfinite(phi) else np.nan
-        energies, clipped = decay_sample(s, window, params, vcfg, power_exponent, accumulators,
-                                         wt)
+        energies, clipped = decay_sample(s, window, params, vcfg, power_exponent, accumulators)
         ms = momentum.moment_sample(s, params)
         bmass = boundary_mass(s)
         largest = max(largest, bmass)
@@ -186,12 +183,16 @@ def run_tables(state0: SystemState, stepper: StepperConfig, params: ModelParams,
 
 class DecayScan(NamedTuple):
     """At each snapshot with t >= 2: its time, the mixed and grad-v windowed
-    energies and the accumulator values after it (one dict per snapshot)."""
+    energies and the accumulator values after it (one dict per snapshot);
+    over all snapshots, the largest boundary mass and the first time it was
+    above BOUNDARY_TOLERANCE (nan if never)."""
 
     times: list
     mixed: list
     grad_v: list
     acc_rows: list
+    largest_boundary_mass: float
+    edge_time: float
 
 
 def decay_scan(
@@ -200,9 +201,15 @@ def decay_scan(
 ) -> DecayScan:
     """Windowed energies and weighted accumulators along one run, from
     t = 2 on, where the accumulators start: `skdv run`'s decay samples."""
-    scan, accumulators = DecayScan([], [], [], []), decay.make_accumulators()
+    scan, accumulators = DecayScan([], [], [], [], 0.0, np.nan), decay.make_accumulators()
+    largest, edge_time = 0.0, np.nan
 
     def on_snapshot(s):
+        nonlocal largest, edge_time
+        bmass = boundary_mass(s)
+        largest = max(largest, bmass)
+        if bmass > BOUNDARY_TOLERANCE and np.isnan(edge_time):
+            edge_time = s.time
         if s.time < virial.T_START:
             return
         energies, _ = decay_sample(s, window, params, vcfg, power_exponent, accumulators)
@@ -212,4 +219,4 @@ def decay_scan(
         scan.acc_rows.append({tag: acc.value for tag, acc in accumulators.items()})
 
     run(state0, stepper, params, on_snapshot=on_snapshot)
-    return scan
+    return scan._replace(largest_boundary_mass=largest, edge_time=edge_time)

@@ -12,6 +12,7 @@ O(dt^2) splitting error of the integrator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -50,9 +51,17 @@ def _sech(x: np.ndarray) -> np.ndarray:
     return 2.0 * e / (1.0 + e * e)
 
 
+def _g_derivatives(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g, g' and g'' at ``x``, from one evaluation of sech and tanh."""
+    x = np.asarray(x, dtype=float)
+    sech, tanh = _sech(x), np.tanh(x)
+    g = 0.5 * sech
+    return g, -tanh * g, g * (tanh**2 - sech**2)
+
+
 def weight_g(x) -> np.ndarray:
     """g(x) = 1/(e^x + e^-x) = sech(x)/2; even, 0 < g <= 1/2."""
-    return 0.5 * _sech(np.asarray(x, dtype=float))
+    return _g_derivatives(x)[0]
 
 
 def weight_w(x) -> np.ndarray:
@@ -65,14 +74,12 @@ def weight_w(x) -> np.ndarray:
 
 def weight_g1(x) -> np.ndarray:
     """g'(x) = -tanh(x) g(x) (= w''), in closed form."""
-    x = np.asarray(x, dtype=float)
-    return -np.tanh(x) * weight_g(x)
+    return _g_derivatives(x)[1]
 
 
 def weight_g2(x) -> np.ndarray:
     """g''(x) = g(x) (tanh(x)^2 - sech(x)^2) (= w''')."""
-    x = np.asarray(x, dtype=float)
-    return weight_g(x) * (np.tanh(x) ** 2 - _sech(x) ** 2)
+    return _g_derivatives(x)[2]
 
 
 @dataclass(frozen=True)
@@ -85,10 +92,8 @@ def weight_derivative_bounds() -> WeightBoundReport:
     """Smallest C with |w''| + |w'''| <= C e^-|x| over 4001 samples of [-40, 40]."""
     x = np.linspace(-40.0, 40.0, 4001)
     ratio = (np.abs(weight_g1(x)) + np.abs(weight_g2(x))) * np.exp(np.abs(x))
-    return WeightBoundReport(
-        smallest_c=float(np.max(ratio)),
-        ratio_at_edge=float(max(ratio[0], ratio[-1])),
-    )
+    return WeightBoundReport(smallest_c=float(np.max(ratio)),
+                             ratio_at_edge=float(max(ratio[0], ratio[-1])))
 
 
 @dataclass(frozen=True)
@@ -134,9 +139,8 @@ class VirialConfig:
 
 class Weights:
     """Weight product w(x/l1)*g(x/l2) and every derived array the identity
-    pieces and the accumulators need, at a fixed time.  sech and tanh are
-    evaluated once per argument; each table is the expression of
-    ``weight_g``, ``weight_g1`` or ``weight_g2`` on those values."""
+    pieces and the accumulators need, at a fixed time, each read-only; every
+    caller takes them from ``Weights.at``, built once per (grid, config, t)."""
 
     def __init__(self, grid, config: VirialConfig, t: float):
         if t <= 0:
@@ -144,38 +148,38 @@ class Weights:
         self.l1 = t**config.p1  # lambda1
         self.l2 = t ** (config.p1 * config.p2)  # lambda2
         self.eta = t**config.r1
-        x1 = grid.x / self.l1
-        x2 = grid.x / self.l2
-        self.x1, self.x2 = x1, x2
-        sech1, sech2 = _sech(x1), _sech(x2)
-        tanh1, tanh2 = np.tanh(x1), np.tanh(x2)
-        self.w = weight_w(x1)
-        self.g = 0.5 * sech2  # weight_g(x2)
-        self.wp = 0.5 * sech1  # w' = g
-        self.gp = -tanh2 * self.g  # weight_g1(x2)
+        self.x1, self.x2 = grid.x / self.l1, grid.x / self.l2
+        self.wp, g1_of_x1, _ = _g_derivatives(self.x1)  # w' = g
+        self.g, self.gp, g2_of_x2 = _g_derivatives(self.x2)
+        self.w = weight_w(self.x1)
         self.wg = self.w * self.g
         self.wpg = self.wp * self.g
-        # d^2/dx^2 [w(x/l1) g(x/l2)], with weight_g1(x1) and weight_g2(x2)
-        self.d2 = (
-            -tanh1 * self.wp * self.g / self.l1**2
-            + 2.0 * self.wp * self.gp / (self.l1 * self.l2)
-            + self.w * (self.g * (tanh2**2 - sech2**2)) / self.l2**2
-        )
+        # d^2/dx^2 [w(x/l1) g(x/l2)]
+        self.d2 = (g1_of_x1 * self.g / self.l1**2 + 2.0 * self.wp * self.gp / (self.l1 * self.l2)
+                   + self.w * g2_of_x2 / self.l2**2)
+        for name in ("x1", "x2", "wp", "g", "gp", "w", "wg", "wpg", "d2"):
+            getattr(self, name).flags.writeable = False
+
+    @staticmethod
+    @lru_cache(maxsize=1)
+    def at(grid, config: VirialConfig, t: float) -> Weights:
+        """The Weights of (grid, config, t); the latest key's are kept."""
+        return Weights(grid, config, t)
 
 
-def functional_J2(state: SystemState, config: VirialConfig, weights: Weights) -> float:
-    """J2 = (theta2/eta) int v^2 w(x/l1) g(x/l2) dx, with ``weights`` built at
-    ``state.time``; always >= 0."""
-    return config.theta2 / weights.eta * integrate(state.v.abs_sq * weights.wg, state.grid)
+def functional_J2(state: SystemState, config: VirialConfig) -> float:
+    """J2 = (theta2/eta) int v^2 w(x/l1) g(x/l2) dx at ``state.time`` > 0;
+    always >= 0."""
+    wt = Weights.at(state.grid, config, state.time)
+    return config.theta2 / wt.eta * integrate(state.v.abs_sq * wt.wg, state.grid)
 
 
-def functional_J3(
-    state: SystemState, config: VirialConfig, params: ModelParams, weights: Weights
-) -> float:
-    """J3 = (theta3/eta) int Im(u * conj(u_x)) w(x/l1) g(x/l2) dx, with
-    ``weights`` built at ``state.time``."""
+def functional_J3(state: SystemState, config: VirialConfig, params: ModelParams) -> float:
+    """J3 = (theta3/eta) int Im(u * conj(u_x)) w(x/l1) g(x/l2) dx at
+    ``state.time`` > 0."""
+    wt = Weights.at(state.grid, config, state.time)
     dens = np.imag(state.u.times_conj_dx)
-    return config.theta3_value(params) / weights.eta * integrate(dens * weights.wg, state.grid)
+    return config.theta3_value(params) / wt.eta * integrate(dens * wt.wg, state.grid)
 
 
 @dataclass(frozen=True)
@@ -207,14 +211,14 @@ def _window_times(states: list) -> float:
 
 
 def _identity_pieces(
-    state: SystemState, config: VirialConfig, params: ModelParams, wt: Weights, j2: float
+    state: SystemState, config: VirialConfig, params: ModelParams, j2: float
 ) -> tuple:
     """The pieces (J2_int, lhs, cubic, mixed) of the Prop2 identity and
     (J3_int, grad_term, quartic_term, mixed) of the Prop3 identity at
     ``state.time``, where ``j2`` is functional_J2 there.  The two mixed
     terms scale one integral, int |u|^2 v_x w g."""
-    grid = state.grid
-    t = state.time
+    grid, t = state.grid, state.time
+    wt = Weights.at(grid, config, t)
     th2, th3 = config.theta2, config.theta3_value(params)
     v = state.v.samples
     v_sq, vx_sq = state.v.abs_sq, state.v.dx_abs_sq
@@ -269,19 +273,13 @@ class WindowEntry(NamedTuple):
     pieces: tuple | None  # _identity_pieces at t >= 2, else None
 
 
-def window_entry(
-    state: SystemState, config: VirialConfig, params: ModelParams, weights: Weights | None = None
-) -> WindowEntry:
-    """The WindowEntry of ``state``; ``weights`` may pass the weights already
-    built at ``state.time``."""
+def window_entry(state: SystemState, config: VirialConfig, params: ModelParams) -> WindowEntry:
+    """The WindowEntry of ``state``."""
     if state.time <= 0:
         return WindowEntry(state.time, np.nan, np.nan, None)
-    wt = weights if weights is not None else Weights(state.grid, config, state.time)
-    j2 = functional_J2(state, config, wt)
-    j3 = functional_J3(state, config, params, wt)
-    pieces = None
-    if state.time >= T_START:
-        pieces = _identity_pieces(state, config, params, wt, j2)
+    j2 = functional_J2(state, config)
+    j3 = functional_J3(state, config, params)
+    pieces = _identity_pieces(state, config, params, j2) if state.time >= T_START else None
     return WindowEntry(state.time, j2, j3, pieces)
 
 
@@ -358,10 +356,8 @@ def check_key_identities(state: SystemState, params: ModelParams) -> KeyIdentity
         - (b / (2.0 * g * a)) * v * u_abs**3
     )
 
-    scale = max(
-        float(np.max(np.abs(lhs1))), float(np.max(np.abs(lhs2))),
-        float(np.max(np.abs(lhs3))), 1e-300,
-    )
+    scale = max(float(np.max(np.abs(lhs1))), float(np.max(np.abs(lhs2))),
+                float(np.max(np.abs(lhs3))), 1e-300)
     return KeyIdentityReport(
         cubic_split_max_err=float(np.max(np.abs(lhs1 - rhs1))),
         quartic_max_err=float(np.max(np.abs(lhs2 - rhs2))),

@@ -418,8 +418,8 @@ class TestRunCommand:
 
     def test_residual_columns_match_public_functions(self, tmp_path, monkeypatch):
         # stride 1 past t = 2: the residual columns must equal the public
-        # window functions bit for bit, with J2 and J3 evaluated once per
-        # snapshot at t > 0
+        # window functions bit for bit, with J2 and J3 evaluated, and one
+        # Weights built, once per snapshot at t > 0
         text = BASE_CONFIG.format(out=tmp_path / "out").replace(
             "dt = 0.01\nt_end = 0.1\nsnapshot_stride = 5",
             "dt = 0.05\nt_end = 2.3\nsnapshot_stride = 1",
@@ -435,6 +435,14 @@ class TestRunCommand:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(virial, f"functional_{name}", counted)
+        built_at, build = [], virial.Weights.__init__
+
+        def counted_build(self, grid, config, t):
+            built_at.append(t)
+            build(self, grid, config, t)
+
+        monkeypatch.setattr(virial.Weights, "__init__", counted_build)
+        virial.Weights.at.cache_clear()  # no table left from an earlier run
         assert main(["run", str(path)]) == EXIT_OK
         monkeypatch.undo()
 
@@ -444,15 +452,15 @@ class TestRunCommand:
                     cfg.stepper, cfg.params, keep_snapshots=True).snapshots
         assert len(rows) == len(snaps) == 47
         assert calls == {"J2": 46, "J3": 46}
+        assert built_at == [s.time for s in snaps[1:]]
         checked = 0
         for i, (s, row) in enumerate(zip(snaps, rows)):
             assert row[0] == s.time
             if i == 0:
                 assert np.all(np.isnan(row[1:]))
                 continue
-            wt = virial.Weights(s.grid, cfg.virial, s.time)
-            assert row[1] == virial.functional_J2(s, cfg.virial, wt)
-            assert row[2] == virial.functional_J3(s, cfg.virial, cfg.params, wt)
+            assert row[1] == virial.functional_J2(s, cfg.virial)
+            assert row[2] == virial.functional_J3(s, cfg.virial, cfg.params)
             if s.time < 2 or i > len(snaps) - 3:
                 assert np.all(np.isnan(row[3:]))
                 continue
@@ -568,6 +576,10 @@ class TestRunCommand:
         assert [row["E_gradv"] for row in rows] == scan.grad_v
         for column, tag in experiments.ACC_COLUMNS:
             assert [row[column] for row in rows] == [acc[tag] for acc in scan.acc_rows], tag
+        # and flags.csv's boundary masses, of every snapshot, give the scan's box edge
+        flags = [(row[0], row[1]) for row in _rows(out, "flags.csv")]
+        assert scan.largest_boundary_mass == max(bmass for _, bmass in flags)
+        assert scan.edge_time == min(t for t, bmass in flags if bmass > model.BOUNDARY_TOLERANCE)
 
     def test_no_gn_constant_outside_the_full_regime(self, tmp_path, monkeypatch):
         # with alpha*gamma <= 0 there is no Phi: the margin column is nan and
@@ -581,19 +593,22 @@ class TestRunCommand:
         assert main(["run", str(path)]) == EXIT_OK
         assert all(np.isnan(row[6]) for row in _rows(out, "invariants.csv"))
 
-    def test_benchmark_gate_run_dense(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_benchmark_gate_run_dense(self, tmp_path, monkeypatch, seed):
         # the benchmark's correctness gate on its run_dense workload at seed
-        # 0: the five CSVs must agree with the recorded reference digest
+        # 0 (the base config) and 5 (perturbed data): the five CSVs must
+        # agree with the recorded reference digest of that variant
         workloads = _bench_module("workloads", monkeypatch)
         check = _bench_module("check", monkeypatch)
         workload = workloads.WORKLOADS["run_dense"]
-        ini = workloads.render_ini(workload, workloads.variant_of(0))
+        variant = workloads.variant_of(seed)
+        ini = workloads.render_ini(workload, variant)
         (tmp_path / "run.ini").write_text(ini)
         monkeypatch.chdir(tmp_path)  # the config writes to ./out
         assert main(["run", "run.ini"]) == EXIT_OK
         digest, problems = check.cli_outputs(tmp_path / "out", ini, workload.snapshots)
         assert not problems
-        reference = check.load_reference()["run_dense"]["0"]
+        reference = check.load_reference()["run_dense"][str(variant)]
         assert [p for name in check.CSV_FILES
                 for p in check.compare_digest(name, digest[name], reference[name])] == []
 
@@ -870,8 +885,36 @@ class TestExperimentOutput:
         for line, vals in zip(lines, (scan.mixed, scan.grad_v)):
             report = decay.liminf_tracker(scan.times, vals)
             assert f"running min {report.running_min:.6e}," in line
-        assert lines[2:] == [f"accumulator {tag}: {scan.acc_rows[-1][tag]:.6e}"
-                             for tag in decay.ACCUMULATOR_TAGS]
+        assert lines[2:-1] == [f"accumulator {tag}: {scan.acc_rows[-1][tag]:.6e}"
+                               for tag in decay.ACCUMULATOR_TAGS]
+        assert scan.edge_time == pytest.approx(0.5, rel=1e-12)
+        assert lines[-1] == (f"boundary mass: largest {scan.largest_boundary_mass:.3e}, "
+                             f"first above {model.BOUNDARY_TOLERANCE:g} at t = 0.5")
+
+    def test_scan_decay_clear_of_the_box_edge(self, tmp_path, capsys):
+        # a KdV soliton sheds no radiation: it never reaches the box edge
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "dt = 0.01\nt_end = 0.1\nsnapshot_stride = 5",
+            "dt = 0.05\nt_end = 2.2\nsnapshot_stride = 2",
+        ).replace("family = gaussian\namplitude_u = 0.2\namplitude_v = 0.2",
+                  "family = kdv_soliton\nspeed = 1.0")
+        path, _ = _write_config(tmp_path, text)
+        assert main(["scan-decay", str(path)]) == EXIT_OK
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"boundary mass: largest \S+, never above 1e-06", last), last
+
+    def test_scan_decay_reports_the_box_edge(self, tmp_path, capsys, monkeypatch):
+        # the README config, which strict mode rejects: its boundary mass
+        # passes 1e-6 at t = 0.9, before the scan's series start at t = 2
+        path, _ = _write_config(tmp_path, TestLoadConfig.README_CONFIG)
+        returned = self._spy(monkeypatch, "decay_scan")
+        assert main(["scan-decay", str(path)]) == EXIT_OK
+        [scan] = returned
+        assert scan.edge_time == pytest.approx(0.9, rel=1e-12)
+        assert scan.largest_boundary_mass > model.BOUNDARY_TOLERANCE
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"boundary mass: largest {scan.largest_boundary_mass:.3e}, "
+            f"first above {model.BOUNDARY_TOLERANCE:g} at t = {scan.edge_time:g}")
 
     def test_convergence(self, tmp_path, capsys, monkeypatch):
         text = BASE_CONFIG.format(out=tmp_path / "out").replace(
@@ -902,4 +945,19 @@ class TestExperimentOutput:
             f"-beta*Phi               = {report.criterion_lhs:.12g}",
             f"alpha*gamma             = {report.criterion_rhs:.12g}",
             f"criterion satisfied     = {report.satisfied}",
+        ]
+
+    def test_check_smallness_outside_the_regime(self, tmp_path, capsys, monkeypatch):
+        # the README config itself, at beta = 0: the same first three lines,
+        # then no verdict and no signed -beta*Phi
+        path, _ = _write_config(tmp_path, TestLoadConfig.README_CONFIG)
+        returned = self._spy(monkeypatch, "phi_smallness", conservation)
+        assert main(["check-smallness", str(path)]) == EXIT_OK
+        [report] = returned
+        assert not report.applicable and not report.satisfied
+        assert capsys.readouterr().out.splitlines() == [
+            f"C_gn (L4 interpolation) = {report.c_gn:.12g}",
+            f"C (main form)           = {report.c_abg:.12g}",
+            f"Phi                     = {report.phi:.12g}",
+            "criterion satisfied     = n/a (needs beta < 0 and alpha*gamma > 0)",
         ]

@@ -168,6 +168,16 @@ class TestPhi:
         assert rep.phi == 0.0
         assert rep.satisfied  # 0 <= alpha gamma
 
+    @pytest.mark.parametrize("params", [ModelParams(1.0, 0.0, 1.0), ModelParams(1.0, 0.5, 1.0),
+                                        ModelParams(-1.0, -0.1, 1.0)],
+                             ids=["beta-zero", "beta-positive", "alpha-gamma-negative"])
+    def test_no_verdict_outside_the_regime(self, grid, params):
+        # the criterion is stated for beta < 0 and alpha*gamma > 0 only; at
+        # beta = 0, -beta*Phi = -0 <= alpha*gamma would read as satisfied
+        rep = phi_smallness(make_initial_data(InitialData(family="zero"), grid), params)
+        assert rep.phi == 0.0
+        assert not rep.applicable and not rep.satisfied
+
     def test_built_from_the_initial_state(self):
         # the README data at beta = -0.1: the report's Phi is phi_of_norms
         # of the H1 norms and the explicit constant at the grid's C_gn

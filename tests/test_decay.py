@@ -16,7 +16,7 @@ from skdv.decay import (
     windowed_energy,
 )
 from skdv.model import InitialData, ModelParams, SystemState, boundary_mass, make_initial_data
-from skdv.spectral import ComplexField, RealField, SpectralGrid
+from skdv.spectral import ComplexField, RealField, SpectralGrid, integrate
 from skdv.virial import VirialConfig, Weights
 
 
@@ -205,27 +205,26 @@ class TestAccumulators:
         assert prev > 0.0
 
 
-    def test_weights_argument_same_accumulators(self, grid):
-        # the virial weights' wpg is the accumulator weight bit for bit
+    def test_weight_is_the_virial_wpg(self, grid):
+        # each integrand is (1/t) int dens * wpg, wpg the accumulator weight
+        # of the virial Weights at t, bit for bit
         state = make_initial_data(InitialData(family="modulated_gaussian", carrier=0.5), grid)
         cfg, params = VirialConfig(), ModelParams(1.0, 0.5, 1.0)
-        plain, shared = make_accumulators(), make_accumulators()
+        acc = make_accumulators()
         for t in (2.0, 2.25, 3.5):
             s = _at_time(state, t)
-            weighted_accumulator_step(s, cfg, params, plain, 0.5)
-            weighted_accumulator_step(_at_time(state, t), cfg, params, shared, 0.5,
-                                      weights=Weights(grid, cfg, t))
-        for tag in ACCUMULATOR_TAGS:
-            assert (shared[tag].value, shared[tag].last_integrand) == (
-                plain[tag].value, plain[tag].last_integrand), tag
-        assert plain["mixed_kdv"].value > 0
+            weighted_accumulator_step(s, cfg, params, acc, 0.5)
+            wpg = Weights(grid, cfg, t).wpg
+            for tag, dens in (("gradient_v", s.v.dx_abs_sq), ("quartic_u", s.u.abs_fourth)):
+                assert acc[tag].last_integrand == integrate(dens * wpg, grid) / t, tag
+        assert acc["mixed_kdv"].value > 0
 
 
 class TestSmallnessGate:
     def _report(self, satisfied):
         return SmallnessReport(c_gn=0.9, c_abg=1.0, phi=0.1,
                                criterion_lhs=0.01 if satisfied else 10.0,
-                               criterion_rhs=1.0, satisfied=satisfied)
+                               criterion_rhs=1.0, applicable=True, satisfied=satisfied)
 
     def test_v_zero_trivial(self, grid):
         state = make_initial_data(InitialData(family="zero"), grid)

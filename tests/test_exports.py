@@ -76,6 +76,7 @@ def test_bench_call_shapes():
 # exported functions that no program path calls, each kept because it checks
 # a claim of the paper: name -> the claim
 PAPER_CHECKS = {
+    "virial.weight_g": "criterion 04: w' = g for the weight pair w(x) = arctan(e^x)",
     "virial.weight_derivative_bounds":
         "criterion 04: |w''| + |w'''| <= C e^-|x| for the weight pair",
     "virial.check_key_identities":

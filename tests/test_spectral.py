@@ -141,7 +141,8 @@ class TestFields:
         pytest.param(RealField, "abs_sq", lambda f: f.samples**2, id="real-abs_sq"),
         pytest.param(RealField, "abs_sq", lambda f: np.abs(f.samples) ** 2,
                      id="real-abs_sq-of-abs"),
-        pytest.param(RealField, "cube", lambda f: f.samples**3, id="real-cube"),
+        pytest.param(RealField, "cube", lambda f: f.samples * f.samples * f.samples,
+                     id="real-cube"),
         pytest.param(RealField, "dx_abs_sq", lambda f: f.dx.real**2, id="real-dx_abs_sq"),
         pytest.param(ComplexField, "abs", lambda f: np.abs(f.samples), id="complex-abs"),
         pytest.param(ComplexField, "abs_sq", lambda f: np.abs(f.samples) ** 2,

@@ -101,19 +101,20 @@ class TestFunctionals:
     def test_j2_nonnegative(self, state):
         cfg = VirialConfig()
         st = SystemState(state.u, state.v, 3.0)
-        assert functional_J2(st, cfg, Weights(st.grid, cfg, st.time)) > 0.0
+        assert functional_J2(st, cfg) > 0.0
 
     def test_requires_positive_time(self, state):
-        # the functionals take their weights, which exist only at t > 0
-        with pytest.raises(ValueError):
-            Weights(state.grid, VirialConfig(), state.time)
+        # the functionals read the weights at state.time, which exist only at t > 0
+        with pytest.raises(ValueError, match="t > 0"):
+            functional_J2(state, VirialConfig())
+        with pytest.raises(ValueError, match="t > 0"):
+            functional_J3(state, VirialConfig(), ModelParams(1.0, 0.0, 1.0))
 
     def test_j3_scales_with_theta(self, state):
         params = ModelParams(1.0, 0.0, 1.0)
         st = SystemState(state.u, state.v, 3.0)
-        wt = Weights(st.grid, VirialConfig(), st.time)  # theta3 does not enter the weights
-        a = functional_J3(st, VirialConfig(theta3=1.0), params, wt)
-        b = functional_J3(st, VirialConfig(theta3=2.0), params, wt)
+        a = functional_J3(st, VirialConfig(theta3=1.0), params)
+        b = functional_J3(st, VirialConfig(theta3=2.0), params)
         assert b == pytest.approx(2.0 * a, rel=1e-13)
 
 
@@ -141,6 +142,19 @@ class TestWeightTables:
         }
         for name, want in expected.items():
             assert getattr(wt, name).tobytes() == want.tobytes(), name
+
+    def test_built_once_per_key_and_read_only(self):
+        # Weights.at keeps the tables of its latest (grid, config, t): an
+        # equal key, from other but equal objects, gets the same tables
+        Weights.at.cache_clear()
+        grid, cfg = SpectralGrid(64, 8.0), VirialConfig()
+        wt = Weights.at(grid, cfg, 2.5)
+        assert Weights.at(SpectralGrid(64, 8.0), VirialConfig(), 2.5) is wt
+        assert Weights.at(grid, cfg, 2.75) is not wt
+        assert Weights.at(grid, VirialConfig(p2=3.0), 2.75).l2 != wt.l2
+        for name in ("x1", "x2", "w", "g", "wp", "gp", "wg", "wpg", "d2"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(wt, name)[0] = 0.0
 
 
 class TestWindowTimes:
