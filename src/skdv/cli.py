@@ -32,7 +32,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from . import conservation, decay, experiments, momentum, virial
+from . import conservation, decay, experiments, model, momentum, virial
 from .integrator import BlowUpError, StepperConfig
 from .model import BOUNDARY_TOLERANCE, InitialData, ModelParams, SystemState, make_initial_data
 from .spectral import SpectralGrid
@@ -62,14 +62,6 @@ class RunConfig:
     strict: bool
     config_hash: str
 
-
-# the [initial] keys each family that an INI can build reads, besides "family"
-_FAMILY_KEYS = {
-    "zero": set(),
-    "gaussian": {"amplitude_u", "amplitude_v", "width_u", "width_v"},
-    "modulated_gaussian": {"amplitude_u", "amplitude_v", "width_u", "width_v", "carrier"},
-    "kdv_soliton": {"speed"},
-}
 
 # section -> its keys as (key, cast, default) rows, in the field order of the
 # constructor they build: a key is accepted exactly when it is read.  [window]
@@ -130,11 +122,11 @@ def load_config(path: str | Path) -> RunConfig:
     values = {section: [_get(parser, section, *row) for row in rows]
               for section, rows in _SCHEMA.items()}
     family = values["initial"][0]
-    if family not in _FAMILY_KEYS:
-        raise ConfigError(f"[initial] family must be one of {sorted(_FAMILY_KEYS)}, "
+    if family not in model.FAMILIES:
+        raise ConfigError(f"[initial] family must be one of {sorted(model.FAMILIES)}, "
                           f"got {family!r}")
     if parser.has_section("initial"):
-        unread = set(parser.options("initial")) - {"family"} - _FAMILY_KEYS[family]
+        unread = set(parser.options("initial")) - {"family", *model.FAMILIES[family][0]}
         if unread:
             raise ConfigError(f"[initial] family {family!r} does not read {sorted(unread)}")
 
@@ -190,9 +182,8 @@ def _checked(fn, *args):
 
 
 def _initial_state(cfg: RunConfig) -> SystemState:
-    """The configured initial state.  Data with a boundary tail above
-    BOUNDARY_TOLERANCE, or a nonpositive width or soliton speed, is a
-    config error."""
+    """The configured initial state.  Data its family rejects, or with a
+    boundary tail above BOUNDARY_TOLERANCE, is a config error."""
     return _checked(make_initial_data, cfg.initial, cfg.grid)
 
 

@@ -16,6 +16,7 @@ from .spectral import ComplexField, RealField, SpectralGrid
 __all__ = [
     "ModelParams",
     "InitialData",
+    "FAMILIES",
     "SystemState",
     "make_initial_data",
     "kdv_soliton_profile",
@@ -66,14 +67,8 @@ class SystemState:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Initial-data family specification.
-
-    Families:
-      zero                 u = v = 0
-      gaussian             u = amp_u*exp(-(x/width_u)^2), v likewise
-      modulated_gaussian   gaussian u multiplied by exp(i*carrier*x)
-      kdv_soliton          v = 3c*sech^2(sqrt(c)*x/2), u = 0
-    """
+    """Initial-data family specification: ``family`` names an entry of
+    FAMILIES, which says which of the other fields that family reads."""
 
     family: str = "gaussian"
     amplitude_u: float = 1.0
@@ -91,22 +86,32 @@ def kdv_soliton_profile(x: np.ndarray, speed: float) -> np.ndarray:
     return 3.0 * speed / np.cosh(np.sqrt(speed) * x / 2.0) ** 2
 
 
-def _build_samples(spec: InitialData, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
-    x = grid.x
-    fam = spec.family
-    if fam == "zero":
-        return np.zeros(grid.num_points, dtype=complex), np.zeros(grid.num_points)
-    if fam in ("gaussian", "modulated_gaussian"):
-        if spec.width_u <= 0 or spec.width_v <= 0:
-            raise ValueError("gaussian widths must be positive")
-        u = spec.amplitude_u * np.exp(-((x / spec.width_u) ** 2)).astype(complex)
-        if fam == "modulated_gaussian":
-            u = u * np.exp(1j * spec.carrier * x)
-        v = spec.amplitude_v * np.exp(-((x / spec.width_v) ** 2))
-        return u, v
-    if fam == "kdv_soliton":
-        return np.zeros(grid.num_points, dtype=complex), kdv_soliton_profile(x, spec.speed)
-    raise ValueError(f"unknown initial-data family {fam!r}")
+def _zero(x):
+    return np.zeros(x.size, dtype=complex), np.zeros(x.size)
+
+
+def _gaussian(x, amplitude_u, amplitude_v, width_u, width_v, carrier=None):
+    if width_u <= 0 or width_v <= 0:
+        raise ValueError("gaussian widths must be positive")
+    u = amplitude_u * np.exp(-((x / width_u) ** 2)).astype(complex)
+    if carrier is not None:
+        u = u * np.exp(1j * carrier * x)
+    return u, amplitude_v * np.exp(-((x / width_v) ** 2))
+
+
+def _kdv_soliton(x, speed):
+    return np.zeros(x.size, dtype=complex), kdv_soliton_profile(x, speed)
+
+
+# family -> (the InitialData fields it reads, in order, and a builder taking
+# the grid points and those fields' values to the (u, v) samples)
+FAMILIES = {
+    "zero": ((), _zero),
+    "gaussian": (("amplitude_u", "amplitude_v", "width_u", "width_v"), _gaussian),
+    "modulated_gaussian": (("amplitude_u", "amplitude_v", "width_u", "width_v", "carrier"),
+                           _gaussian),
+    "kdv_soliton": (("speed",), _kdv_soliton),
+}
 
 
 def outer_fraction(grid: SpectralGrid, dens: np.ndarray) -> float:
@@ -135,7 +140,10 @@ def make_initial_data(
 ) -> SystemState:
     """Realize an initial-data spec on a grid, rejecting data whose tail
     mass would contaminate the periodic box."""
-    u, v = _build_samples(spec, grid)
+    if spec.family not in FAMILIES:
+        raise ValueError(f"unknown initial-data family {spec.family!r}")
+    keys, build = FAMILIES[spec.family]
+    u, v = build(grid.x, *(getattr(spec, key) for key in keys))
     state = SystemState(ComplexField(grid, u), RealField(grid, v), time=0.0)
     tail = boundary_mass(state)
     if tail > boundary_threshold:

@@ -321,6 +321,18 @@ class TestSchema:
             parser.read_dict({section: {key: default_cell.strip("`")}})
             assert cli._get(parser, section, key, cast, None) == default, (section, key)
 
+    def test_readme_family_table_matches_families(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = text.split("| Family | Keys it reads |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        table = [[cell.strip() for cell in line.split("|")[1:3]] for line in rows.splitlines()]
+        assert table == [[f"`{family}`", ", ".join(f"`{key}`" for key in keys) or "none"]
+                         for family, (keys, _) in model.FAMILIES.items()]
+
+    def test_every_initial_key_is_read_by_a_family(self):
+        # no [initial] key is parsed and then read by no family
+        schema = {key for key, _, _ in cli._SCHEMA["initial"]} - {"family"}
+        assert schema == {key for keys, _ in model.FAMILIES.values() for key in keys}
+
     def test_every_key_lands_in_its_field(self, tmp_path):
         assert set(EVERY_KEY) == {(section, key) for section, rows in cli._SCHEMA.items()
                                   for key, _, _ in rows} - {("initial", "speed")}

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from solitary_waves import solitary_wave, standing_kappa_sq, wave_speed
 
 from skdv.conservation import (
     apriori_monitor,
@@ -17,7 +18,7 @@ from skdv.conservation import (
     phi_smallness,
     q_momentum,
 )
-from skdv.model import InitialData, ModelParams, make_initial_data
+from skdv.model import InitialData, ModelParams, SystemState, make_initial_data
 from skdv.spectral import (
     ComplexField,
     RealField,
@@ -190,6 +191,17 @@ class TestPhi:
         assert rep.phi == phi_of_norms(h1_norm(state0.u), h1_norm(state0.v), c_abg)
         assert (rep.c_gn, rep.c_abg) == (c_gn, c_abg)
         assert rep.criterion_lhs == 0.1 * rep.phi and not rep.satisfied
+
+    @pytest.mark.parametrize("params", [ModelParams(1.0, -1.0, 1.0), ModelParams(0.7, -0.3, 1.9)],
+                             ids=["unit", "off-unit"])
+    def test_rejects_the_standing_wave(self, params):
+        # the beta < 0 solitary wave at this kappa^2 stands still, so its
+        # local energy cannot decay: no admissible C may let it pass
+        grid, kappa_sq = SpectralGrid(1024, 64.0), standing_kappa_sq(params)
+        assert wave_speed(params, kappa_sq) == 0.0
+        u, v = solitary_wave(params, kappa_sq, grid.x)
+        rep = phi_smallness(SystemState(ComplexField(grid, u), RealField(grid, v)), params)
+        assert rep.applicable and not rep.satisfied
 
     def test_monotone_in_each_argument(self, grid):
         # a larger amplitude of u, or of v, gives a larger Phi

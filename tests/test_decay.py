@@ -15,6 +15,7 @@ from skdv.decay import (
     weighted_accumulator_step,
     windowed_energy,
 )
+from skdv.integrator import StepperConfig, run
 from skdv.model import InitialData, ModelParams, SystemState, boundary_mass, make_initial_data
 from skdv.spectral import ComplexField, RealField, SpectralGrid, integrate
 from skdv.virial import VirialConfig, Weights
@@ -204,6 +205,32 @@ class TestAccumulators:
             prev = acc["mixed_kdv"].value
         assert prev > 0.0
 
+
+    def test_second_order_in_the_snapshot_spacing(self):
+        # one run fed to three accumulator sets, at every snapshot (spacing
+        # 0.02), every 2nd and every 4th: the trapezoidal rule shrinks the
+        # successive differences about 4x, a left rectangle only 2x
+        grid, params, vcfg = SpectralGrid(512, 64.0), ModelParams(1.0, 1.0, 1.0), VirialConfig()
+        state0 = make_initial_data(
+            InitialData(family="modulated_gaussian", amplitude_u=0.5, amplitude_v=0.4,
+                        width_u=2.0, width_v=2.0, carrier=0.5), grid)
+        sets = {every: make_accumulators() for every in (1, 2, 4)}
+        count = 0
+
+        def on_snapshot(s):
+            nonlocal count
+            if s.time >= 2.0:
+                for every, acc in sets.items():
+                    if count % every == 0:
+                        weighted_accumulator_step(s, vcfg, params, acc)
+                count += 1
+
+        run(state0, StepperConfig(dt=1e-2, t_end=4.0, snapshot_stride=2), params,
+            on_snapshot=on_snapshot)
+        assert count == 101
+        for tag in ACCUMULATOR_TAGS:
+            a1, a2, a4 = (sets[every][tag].value for every in (1, 2, 4))
+            assert abs(a4 - a2) >= 3.0 * abs(a2 - a1), tag
 
     def test_weight_is_the_virial_wpg(self, grid):
         # each integrand is (1/t) int dens * wpg, wpg the accumulator weight

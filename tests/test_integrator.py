@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from solitary_waves import solitary_wave
 
 from skdv import conservation
 from skdv.integrator import (
@@ -12,7 +13,14 @@ from skdv.integrator import (
     _Work,
     run,
 )
-from skdv.model import InitialData, ModelParams, SystemState, make_initial_data
+from skdv.model import (
+    BOUNDARY_TOLERANCE,
+    InitialData,
+    ModelParams,
+    SystemState,
+    boundary_mass,
+    make_initial_data,
+)
 from skdv.spectral import (
     ComplexField,
     RealField,
@@ -363,3 +371,27 @@ class TestConvergenceOrder:
             )
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) > 1.8
+
+
+class TestCoupledSolitaryWaves:
+    """Against the exact travelling waves of tests/solitary_waves.py, the one
+    closed form whose u and v are both non-zero, so each coupling term of
+    the stepper is checked against a known solution."""
+
+    @pytest.mark.parametrize("params, kappa_sq, t_end, bound", [
+        (ModelParams(0.7, 0.0, 1.9), 0.3, 1.0, 1e-5),
+        (ModelParams(0.7, -0.3, 1.9), 0.6, 0.5, 5e-4),  # c = -3.09
+    ], ids=["beta-zero", "beta-negative"])
+    def test_error_and_order(self, params, kappa_sq, t_end, bound):
+        grid = SpectralGrid(512, 32.0)
+        state0 = _state(grid, *solitary_wave(params, kappa_sq, grid.x))
+        assert boundary_mass(state0) < BOUNDARY_TOLERANCE
+        exact = solitary_wave(params, kappa_sq, grid.x, t_end)
+        errors = []  # (u, v) relative L2 errors at dt = 4e-3, then 2e-3
+        for dt in (4e-3, 2e-3):
+            final = run(state0, StepperConfig(dt=dt, t_end=t_end), params).final_state
+            errors.append([np.linalg.norm(got - want) / np.linalg.norm(want)
+                           for got, want in zip((final.u.samples, final.v.samples), exact)])
+        orders = [np.log2(coarse / fine) for coarse, fine in zip(*errors)]
+        assert max(errors[1]) < bound, errors
+        assert all(1.9 <= order <= 2.1 for order in orders), orders

@@ -1,10 +1,14 @@
 """Tests for model parameters, initial data families and the nonlinear
 terms of the model, formed from the spectral products and derivatives."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from skdv.model import (
+    FAMILIES,
     InitialData,
     ModelParams,
     SystemState,
@@ -76,6 +80,18 @@ class TestInitialData:
         spec = InitialData(family="gaussian", width_u=20.0, width_v=20.0)
         with pytest.raises(ValueError):
             make_initial_data(spec, grid)
+
+
+class TestFamilies:
+    def test_builders_take_the_keys_they_read(self):
+        # each builder takes the grid points, then its family's InitialData
+        # fields in order, and nothing else without a default
+        fields = {f.name for f in dataclasses.fields(InitialData)} - {"family"}
+        for family, (keys, build) in FAMILIES.items():
+            params = list(inspect.signature(build).parameters.values())
+            assert set(keys) <= fields, family
+            assert [p.name for p in params[1:len(keys) + 1]] == list(keys), family
+            assert all(p.default is not p.empty for p in params[len(keys) + 1:]), family
 
 
 class TestBoundaryMass:

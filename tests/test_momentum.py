@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from solitary_waves import amplitude_sq, solitary_wave, wave_speed
 
 from skdv.model import InitialData, ModelParams, SystemState, make_initial_data
 from skdv.momentum import MomentSample, drift_check, moment_sample, predicted_slope
@@ -66,6 +67,19 @@ class TestPredictedSlope:
     def test_zero_state(self, grid):
         state = make_initial_data(InitialData(family="zero"), grid)
         assert predicted_slope(state, ModelParams(1.0, 1.0, 1.0)) == 0.0
+
+    def test_coupled_solitary_wave(self, grid):
+        # a wave moving at c carries int x |u|^2 and int x v at rates
+        # c ||u||^2 and c int v, so dF/dt = c (||u||^2 - (2 alpha/gamma) int v),
+        # with ||u||^2 = 4 A^2/(3 kappa) and int v = -12 kappa/alpha at beta = 0
+        params, kappa_sq = ModelParams(0.7, 0.0, 1.9), 0.3
+        u, v = solitary_wave(params, kappa_sq, grid.x)
+        state = SystemState(ComplexField(grid, u), RealField(grid, v))
+        kappa = np.sqrt(kappa_sq)
+        u_sq = 4.0 * amplitude_sq(params, kappa_sq) / (3.0 * kappa)
+        v_int = -12.0 * kappa / params.alpha
+        closed = wave_speed(params, kappa_sq) * (u_sq - 2.0 * params.alpha / params.gamma * v_int)
+        assert predicted_slope(state, params) == pytest.approx(closed, rel=1e-12)
 
 
 def _synthetic_samples(slope, n=20, b_rate=0.3):

@@ -240,6 +240,17 @@ class TestWindowResiduals:
             residual(self._window(state, VirialConfig(), times))
 
 
+class TestTheta3:
+    @pytest.mark.parametrize("beta", [0.5, -0.3])
+    def test_numeric_value_of_auto(self, state, beta):
+        # at alpha = gamma = 1 and theta2 = 1, auto's 2 theta2 gamma/alpha is
+        # exactly 2.0, so the numeric 2.0 gives J3 and the prop3 pieces bit for bit
+        params, later = ModelParams(1.0, beta, 1.0), SystemState(state.u, state.v, 2.5)
+        auto = window_entry(later, VirialConfig(theta2=1.0), params)
+        numeric = window_entry(later, VirialConfig(theta2=1.0, theta3=2.0), params)
+        assert (numeric.j3, numeric.pieces[1]) == (auto.j3, auto.pieces[1])
+
+
 class TestKeyIdentities:
     @pytest.mark.parametrize(
         "alpha,beta,gamma",
